@@ -40,7 +40,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -365,9 +365,11 @@ impl LatencyRecorder {
         Self::default()
     }
 
-    /// Records one completed request.
+    /// Records one completed request. Runs in every worker completion
+    /// callback, so a poisoned lock is recovered rather than propagated:
+    /// each update leaves the counters and windows valid.
     pub fn record(&self, queue_us: f64, service_us: f64, is_error: bool) {
-        let mut guard = self.inner.lock().expect("latency recorder poisoned");
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let inner = &mut *guard;
         inner.completed += 1;
         inner.errors += u64::from(is_error);
@@ -385,7 +387,7 @@ impl LatencyRecorder {
     /// Snapshot of the counters and latency summaries.
     #[must_use]
     pub fn stats(&self) -> SchedulerStats {
-        let inner = self.inner.lock().expect("latency recorder poisoned");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let queue: Vec<f64> = inner.queue_us.iter().copied().collect();
         let service: Vec<f64> = inner.service_us.iter().copied().collect();
         SchedulerStats {
@@ -1572,6 +1574,26 @@ mod tests {
         (0..n)
             .map(|i| crate::proportionality::stream_with_activity((2, 8, 8), 16, 0.04, 50 + i))
             .collect()
+    }
+
+    #[test]
+    fn latency_recorder_survives_a_poisoned_lock() {
+        let recorder = LatencyRecorder::new();
+        recorder.record(1.0, 2.0, false);
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = recorder.inner.lock().unwrap();
+                panic!("completion callback panicked while recording");
+            })
+            .join()
+        });
+        assert!(joined.is_err());
+        assert!(recorder.inner.is_poisoned());
+        recorder.record(3.0, 4.0, true);
+        let stats = recorder.stats();
+        assert_eq!((stats.completed, stats.errors), (2, 1));
+        assert_eq!(stats.queue.count, 2);
+        assert_eq!(stats.service.max_us, 4.0);
     }
 
     #[test]

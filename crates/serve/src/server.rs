@@ -59,6 +59,12 @@
 //! Closing a session reclaims its disk snapshot in every tier, so a
 //! closed id can never resurrect after a restart.
 //!
+//! The private `sessions` module is the one place this policy lives: it
+//! owns both tiers, the LRU clock, the store and the durability counters,
+//! with one method per lifecycle step (checkout, park, release, close,
+//! boot recovery) and the lock-order rules. The handlers here only parse,
+//! check out, admit and dispatch.
+//!
 //! Every response carries an `X-Request-Id` (echoed from the request when
 //! the client sent one, generated otherwise); per-route counters and a ring
 //! of recent request records are served from `GET /v1/stats`, and
@@ -84,7 +90,6 @@
 //! and drains every in-flight request — dispatched work completes and its
 //! response is flushed before the reactor exits.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -94,7 +99,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sne::artifact::{ClientState, RuntimeArtifact};
+use sne::artifact::RuntimeArtifact;
 use sne::batch::{EnginePool, LatencyRecorder, LatencySummary, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::run::InferenceResult;
@@ -102,11 +107,13 @@ use sne::session::ChunkOutput;
 use sne::SneError;
 use sne_event::{Event, EventStream};
 use sne_sim::{ExecStrategy, SneConfig};
-use sne_store::{FsyncPolicy, Header, SessionStore};
+use sne_store::{FsyncPolicy, SessionStore};
 
 use crate::http::{append_response, format_response, Request, RequestParser};
 use crate::json::Json;
 use crate::reactor::{Interest, PollEvent, Poller, TimerEntry, TimerWheel, WakePipe, Waker};
+pub use crate::sessions::DurabilityStats;
+use crate::sessions::{Checkout, Sessions};
 
 /// Upper bound on one request's timestep window. It bounds the per-timestep
 /// bookkeeping (and engine loop) a single request can trigger — the
@@ -158,7 +165,7 @@ const SCRATCH_BYTES: usize = 16 * 1024;
 /// a poisoned guard's contents are still usable — and a serving front-end
 /// must keep answering after one panicked request rather than convert
 /// every subsequent request into a cascading panic.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -175,81 +182,6 @@ struct ModelEntry {
     inflight: AtomicU64,
     /// Requests shed with 429 because the admission budget was exhausted.
     shed: AtomicU64,
-}
-
-/// One warm streaming session. `client` is `None` while a request is
-/// in flight for it (concurrent pushes to the same session conflict).
-/// `preferred_lane` remembers the engine that served the last chunk — the
-/// affinity hint for the next one. `last_used` is the session table's
-/// logical clock at the last touch, the LRU key for park-to-disk
-/// demotion.
-#[derive(Debug)]
-struct StreamEntry {
-    model: String,
-    client: Option<ClientState>,
-    preferred_lane: Option<usize>,
-    last_used: u64,
-}
-
-/// The two-tier session table. `warm` sessions hold neuron state in
-/// memory; `cold` sessions live only as store snapshots and keep just
-/// their model's registry index here (populated by LRU demotion and boot
-/// recovery — both require a durable store). `clock` is the logical LRU
-/// counter bumped on every session touch.
-#[derive(Debug, Default)]
-struct SessionTable {
-    warm: HashMap<String, StreamEntry>,
-    cold: HashMap<String, usize>,
-    clock: u64,
-}
-
-impl SessionTable {
-    /// The least-recently-used warm session that is parked (no push in
-    /// flight) — the only kind that can be demoted, since a parked
-    /// session's snapshot is already current on disk.
-    fn lru_parked(&self) -> Option<String> {
-        self.warm
-            .iter()
-            .filter(|(_, e)| e.client.is_some())
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(id, _)| id.clone())
-    }
-}
-
-/// The disk tier behind the session table: the snapshot store plus the
-/// durability counters surfaced by `/v1/stats`. Lock order: the session
-/// table lock and the store lock are never held together except during
-/// cold-session fault-in and demotion, where the table lock is taken
-/// first.
-#[derive(Debug)]
-struct DurableTier {
-    store: Mutex<SessionStore>,
-    /// Warm sessions demoted to the disk tier by LRU eviction.
-    parked_to_disk: AtomicU64,
-    /// Cold sessions promoted back to memory by a push.
-    faulted_in: AtomicU64,
-    /// Snapshots adopted into the cold tier by the boot recovery scan.
-    recovered_on_boot: AtomicU64,
-    /// Snapshots discarded as torn, corrupt, or bound to an unregistered
-    /// artifact (boot scan and runtime fault-in combined).
-    corrupt_discarded: AtomicU64,
-}
-
-/// A point-in-time copy of the durability counters
-/// ([`Server::durability`]; also under `"durability"` in `/v1/stats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DurabilityStats {
-    /// Warm sessions demoted to the disk tier by LRU eviction.
-    pub parked_to_disk: u64,
-    /// Cold sessions promoted back to memory by a push.
-    pub faulted_in: u64,
-    /// Snapshots adopted into the cold tier by the boot recovery scan.
-    pub recovered_on_boot: u64,
-    /// Snapshots discarded as torn, corrupt, or bound to an unregistered
-    /// artifact — sessions reported lost rather than resurrected wrong.
-    pub corrupt_discarded: u64,
-    /// Sessions currently parked on disk.
-    pub cold_sessions: u64,
 }
 
 /// Per-route request/error counters (an error is any response ≥ 400).
@@ -440,9 +372,7 @@ struct ServerConfig {
 struct ServerShared {
     /// Registration order preserved for `/v1/stats`.
     models: Vec<(String, ModelEntry)>,
-    sessions: Mutex<SessionTable>,
-    /// The park-to-disk tier; `None` runs the classic memory-only table.
-    durable: Option<DurableTier>,
+    sessions: Sessions,
     recorder: LatencyRecorder,
     routes: RouteCounters,
     request_log: Mutex<std::collections::VecDeque<RequestLog>>,
@@ -511,19 +441,6 @@ impl ServerShared {
             .iter()
             .map(|s| s.evictions.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// A point-in-time copy of the durability counters, when a durable
-    /// store is configured.
-    fn durability_stats(&self) -> Option<DurabilityStats> {
-        let tier = self.durable.as_ref()?;
-        Some(DurabilityStats {
-            parked_to_disk: tier.parked_to_disk.load(Ordering::Relaxed),
-            faulted_in: tier.faulted_in.load(Ordering::Relaxed),
-            recovered_on_boot: tier.recovered_on_boot.load(Ordering::Relaxed),
-            corrupt_discarded: tier.corrupt_discarded.load(Ordering::Relaxed),
-            cold_sessions: lock_clean(&self.sessions).cold.len() as u64,
-        })
     }
 }
 
@@ -739,15 +656,18 @@ impl ServerBuilder {
                 )
             })
             .collect();
-        let mut table = SessionTable::default();
-        let durable = match self.store_dir {
-            None => None,
-            Some(dir) => Some(recover_store(dir, self.fsync, &models, &mut table)?),
-        };
+        let store = self
+            .store_dir
+            .map(|dir| SessionStore::open(dir, self.fsync))
+            .transpose()?;
+        let artifacts = models
+            .iter()
+            .map(|(name, entry)| (name.clone(), Arc::clone(entry.pool.artifact())))
+            .collect();
+        let sessions = Sessions::open(artifacts, config.session_capacity, store)?;
         let shared = Arc::new(ServerShared {
             models,
-            sessions: Mutex::new(table),
-            durable,
+            sessions,
             recorder: LatencyRecorder::new(),
             routes: RouteCounters::default(),
             request_log: Mutex::new(std::collections::VecDeque::new()),
@@ -790,58 +710,6 @@ impl ServerBuilder {
     }
 }
 
-/// Opens the snapshot store and runs the boot-time crash-recovery scan:
-/// torn `.tmp` orphans and snapshots that fail header, payload, or
-/// artifact-digest verification are deleted and counted; survivors are
-/// adopted into the cold tier bound to the registered model whose
-/// [`RuntimeArtifact::state_digest`] matches the snapshot header. A
-/// snapshot for a model that is no longer registered is a discard, not an
-/// error — recovery must always get the server up.
-fn recover_store(
-    dir: PathBuf,
-    fsync: FsyncPolicy,
-    models: &[(String, ModelEntry)],
-    table: &mut SessionTable,
-) -> std::io::Result<DurableTier> {
-    let mut store = SessionStore::open(dir, fsync)?;
-    let digests: Vec<u64> = models
-        .iter()
-        .map(|(_, entry)| entry.pool.artifact().state_digest())
-        .collect();
-    let mut adopted: Vec<(String, usize)> = Vec::new();
-    let report = store.recover(|id, bytes| {
-        // O(1) header probe picks the candidate model; a full restore
-        // then proves the payload decodes before the session is adopted.
-        let Ok(header) = Header::parse(bytes) else {
-            return false;
-        };
-        let Some(index) = digests.iter().position(|&d| d == header.artifact_digest) else {
-            return false;
-        };
-        if models[index]
-            .1
-            .pool
-            .artifact()
-            .restore_client(bytes)
-            .is_err()
-        {
-            return false;
-        }
-        adopted.push((id.to_owned(), index));
-        true
-    })?;
-    for (id, index) in adopted {
-        table.cold.insert(id, index);
-    }
-    Ok(DurableTier {
-        store: Mutex::new(store),
-        parked_to_disk: AtomicU64::new(0),
-        faulted_in: AtomicU64::new(0),
-        recovered_on_boot: AtomicU64::new(report.recovered.len() as u64),
-        corrupt_discarded: AtomicU64::new(report.discarded),
-    })
-}
-
 /// A running serving front-end. Dropping it (or calling
 /// [`Server::shutdown`]) stops accepting and drains in-flight requests.
 #[derive(Debug)]
@@ -861,20 +729,20 @@ impl Server {
     /// Number of warm (in-memory) streaming sessions.
     #[must_use]
     pub fn active_streams(&self) -> usize {
-        lock_clean(&self.shared.sessions).warm.len()
+        self.shared.sessions.warm_len()
     }
 
     /// Number of cold (parked-to-disk) streaming sessions.
     #[must_use]
     pub fn cold_sessions(&self) -> usize {
-        lock_clean(&self.shared.sessions).cold.len()
+        self.shared.sessions.cold_len()
     }
 
     /// Durability counters, when the server was started with
     /// [`ServerBuilder::durable_store`].
     #[must_use]
     pub fn durability(&self) -> Option<DurabilityStats> {
-        self.shared.durability_stats()
+        self.shared.sessions.durability()
     }
 
     /// Currently open connections (including parked keep-alive ones),
@@ -971,10 +839,6 @@ struct Reactor {
     wheel: TimerWheel,
     next_arm: u64,
     scratch: Vec<u8>,
-    /// Rotating tiebreak for least-loaded accept placement: among equally
-    /// loaded shards, placement cycles instead of piling onto the lowest
-    /// index.
-    accept_rr: usize,
 }
 
 impl Reactor {
@@ -1003,7 +867,6 @@ impl Reactor {
             wheel: TimerWheel::new(granularity, horizon),
             next_arm: 0,
             scratch: vec![0u8; SCRATCH_BYTES],
-            accept_rr: 0,
         }
     }
 
@@ -1123,10 +986,11 @@ impl Reactor {
     }
 
     /// Places a freshly accepted socket (acceptor shard only): global
-    /// capacity check, then the least-loaded shard with a rotating
-    /// tiebreak. The acceptor bumps the target's gauges *at placement* —
-    /// not at adoption — so one accept burst spreads by real load instead
-    /// of piling onto a shard whose handoff wakeup has not run yet.
+    /// capacity check, then the least-loaded shard, ties going to the
+    /// lowest index — the acceptor itself, which skips the handoff hop.
+    /// The acceptor bumps the target's gauges *at placement* — not at
+    /// adoption — so one accept burst spreads by real load instead of
+    /// piling onto a shard whose handoff wakeup has not run yet.
     fn place_connection(&mut self, stream: TcpStream) {
         if self.shared.open_connections() >= self.shared.config.max_connections {
             // Best effort: tell the client why before dropping it. The
@@ -1140,13 +1004,9 @@ impl Reactor {
             return;
         }
         let shards = &self.shared.shards;
-        let n = shards.len();
-        let start = self.accept_rr % n;
-        let target = (0..n)
-            .map(|offset| (start + offset) % n)
+        let target = (0..shards.len())
             .min_by_key(|&i| shards[i].open.load(Ordering::Relaxed))
             .unwrap_or(self.shard);
-        self.accept_rr = (target + 1) % n;
         shards[target].open.fetch_add(1, Ordering::Relaxed);
         shards[target].accepted.fetch_add(1, Ordering::Relaxed);
         if target == self.shard {
@@ -1213,6 +1073,10 @@ impl Reactor {
         // is reaped like an idle keep-alive one.
         let deadline = Instant::now() + self.shared.config.keepalive_timeout;
         self.arm_deadline(token, deadline);
+        // A request that arrived with the connection is served now, in
+        // accept order, rather than after a poll round trip in which a
+        // later connection's request could overtake it.
+        self.conn_readable(token);
     }
 
     fn close_conn(&mut self, token: usize) {
@@ -1594,7 +1458,7 @@ impl Reactor {
     }
 }
 
-fn error_body(message: &str) -> String {
+pub(crate) fn error_body(message: &str) -> String {
     Json::obj(vec![("error", Json::from(message))]).to_string()
 }
 
@@ -1841,51 +1705,6 @@ fn handle_infer(
     RouteOutcome::Dispatched
 }
 
-/// The 409 body for a `chunk_seq` that does not match the session's
-/// cursor: the client's view of the stream diverged (duplicate, dropped,
-/// or reordered push) and must resynchronize from `chunks_pushed`.
-fn seq_conflict_body(expected: u64, got: u64) -> String {
-    Json::obj(vec![
-        (
-            "error",
-            Json::from("chunk_seq mismatch: duplicate or out-of-order push"),
-        ),
-        ("chunks_pushed", Json::from(expected)),
-        ("got_chunk_seq", Json::from(got)),
-    ])
-    .to_string()
-}
-
-/// Makes room in the warm tier by demoting its least-recently-used parked
-/// session to the cold (disk) tier. Demotion is a map move: the victim's
-/// snapshot was already written when its last push parked it. Returns
-/// `false` when nothing is demotable — no durable tier, every warm
-/// session has a push in flight, or the victim's snapshot never reached
-/// disk (a session must not be silently dropped).
-fn demote_lru(sessions: &mut SessionTable, shared: &ServerShared) -> bool {
-    let Some(tier) = shared.durable.as_ref() else {
-        return false;
-    };
-    let Some(victim) = sessions.lru_parked() else {
-        return false;
-    };
-    let Some(entry) = sessions.warm.remove(&victim) else {
-        return false;
-    };
-    let Some(index) = shared.model_index(&entry.model) else {
-        sessions.warm.insert(victim, entry);
-        return false;
-    };
-    if !lock_clean(&tier.store).contains(&victim) {
-        sessions.warm.insert(victim, entry);
-        return false;
-    }
-    sessions.cold.insert(victim, index);
-    tier.parked_to_disk.fetch_add(1, Ordering::Relaxed);
-    true
-}
-
-#[allow(clippy::too_many_lines)]
 fn handle_stream_push(
     shared: &Arc<ServerShared>,
     shard: usize,
@@ -1899,7 +1718,6 @@ fn handle_stream_push(
         Ok(doc) => doc,
         Err(e) => return inline("stream_push", 400, error_body(&e.to_string())),
     };
-    let requested_model = doc.get("model").and_then(Json::as_str);
     let chunk_seq = doc.get("chunk_seq").and_then(Json::as_u64);
     if doc.get("chunk_seq").is_some() && chunk_seq.is_none() {
         return inline(
@@ -1908,212 +1726,45 @@ fn handle_stream_push(
             error_body("invalid 'chunk_seq' (must be an unsigned integer)"),
         );
     }
-
-    // Resolve the session: take its parked client and affinity hint
-    // (marking it busy), fault a cold session back in from the snapshot
-    // store, or create it on first push (which requires a model name and
-    // a free — or evictable — slot in the bounded warm tier).
-    let (model_name, client, created, preferred_lane) = {
-        let mut sessions = lock_clean(&shared.sessions);
-        sessions.clock += 1;
-        let stamp = sessions.clock;
-        if let Some(entry) = sessions.warm.get_mut(id) {
-            if requested_model.is_some_and(|m| m != entry.model) {
-                return inline(
-                    "stream_push",
-                    400,
-                    error_body("session is bound to a different model"),
-                );
-            }
-            let Some(client) = entry.client.take() else {
-                return inline(
-                    "stream_push",
-                    409,
-                    error_body("session busy: a push is in flight"),
-                );
-            };
-            if let Some(seq) = chunk_seq {
-                if seq != client.chunks_pushed() {
-                    let expected = client.chunks_pushed();
-                    entry.client = Some(client);
-                    return inline("stream_push", 409, seq_conflict_body(expected, seq));
-                }
-            }
-            entry.last_used = stamp;
-            (entry.model.clone(), client, false, entry.preferred_lane)
-        } else if let Some(&model_index) = sessions.cold.get(id) {
-            // Fault-in: the session was parked to disk. Load and verify
-            // its snapshot, then promote it into the warm tier (evicting
-            // another parked session if the tier is full). A snapshot
-            // that fails verification loses that one session — reported,
-            // counted, deleted — and nothing else.
-            let model_name = shared.models[model_index].0.as_str();
-            if requested_model.is_some_and(|m| m != model_name) {
-                return inline(
-                    "stream_push",
-                    400,
-                    error_body("session is bound to a different model"),
-                );
-            }
-            let Some(tier) = shared.durable.as_ref() else {
-                // Unreachable by construction (cold entries require a
-                // durable tier), but degrade to "unknown" over panicking.
-                sessions.cold.remove(id);
-                return inline("stream_push", 404, error_body("unknown session"));
-            };
-            let loaded = lock_clean(&tier.store).load(id);
-            let client = match loaded {
-                Ok(Some(bytes)) => {
-                    match shared.models[model_index]
-                        .1
-                        .pool
-                        .artifact()
-                        .restore_client(&bytes)
-                    {
-                        Ok(client) => client,
-                        Err(_) => {
-                            sessions.cold.remove(id);
-                            let _ = lock_clean(&tier.store).remove(id);
-                            tier.corrupt_discarded.fetch_add(1, Ordering::Relaxed);
-                            shared.models[model_index]
-                                .1
-                                .errors
-                                .fetch_add(1, Ordering::Relaxed);
-                            return inline(
-                                "stream_push",
-                                404,
-                                error_body("session snapshot corrupted: session discarded"),
-                            );
-                        }
-                    }
-                }
-                Ok(None) | Err(_) => {
-                    sessions.cold.remove(id);
-                    tier.corrupt_discarded.fetch_add(1, Ordering::Relaxed);
-                    return inline(
-                        "stream_push",
-                        404,
-                        error_body("session snapshot missing: session discarded"),
-                    );
-                }
-            };
-            if let Some(seq) = chunk_seq {
-                if seq != client.chunks_pushed() {
-                    // Not yet promoted — the cold entry and its snapshot
-                    // stay untouched.
-                    return inline(
-                        "stream_push",
-                        409,
-                        seq_conflict_body(client.chunks_pushed(), seq),
-                    );
-                }
-            }
-            if sessions.warm.len() >= shared.config.session_capacity
-                && !demote_lru(&mut sessions, shared)
-            {
-                return inline(
-                    "stream_push",
-                    503,
-                    error_body("session table full: close idle sessions"),
-                );
-            }
-            sessions.cold.remove(id);
-            sessions.warm.insert(
-                id.to_owned(),
-                StreamEntry {
-                    model: model_name.to_owned(),
-                    client: None, // busy until this push completes
-                    preferred_lane: None,
-                    last_used: stamp,
-                },
-            );
-            tier.faulted_in.fetch_add(1, Ordering::Relaxed);
-            (model_name.to_owned(), client, false, None)
-        } else {
-            let Some(model_name) = requested_model else {
-                return inline(
-                    "stream_push",
-                    400,
-                    error_body("first push must name a 'model'"),
-                );
-            };
-            let Some(index) = shared.model_index(model_name) else {
-                return inline("stream_push", 404, error_body("unknown model"));
-            };
-            if let Some(seq) = chunk_seq {
-                if seq != 0 {
-                    return inline("stream_push", 409, seq_conflict_body(0, seq));
-                }
-            }
-            if sessions.warm.len() >= shared.config.session_capacity
-                && !demote_lru(&mut sessions, shared)
-            {
-                return inline(
-                    "stream_push",
-                    503,
-                    error_body("session table full: close idle sessions"),
-                );
-            }
-            let client = shared.models[index].1.pool.artifact().new_client();
-            sessions.warm.insert(
-                id.to_owned(),
-                StreamEntry {
-                    model: model_name.to_owned(),
-                    client: None, // busy until this push completes
-                    preferred_lane: None,
-                    last_used: stamp,
-                },
-            );
-            (model_name.to_owned(), client, true, None)
-        }
+    let requested_model = doc.get("model").and_then(Json::as_str);
+    let Checkout {
+        model: index,
+        client,
+        preferred_lane,
+        created,
+    } = match shared.sessions.checkout(id, requested_model, chunk_seq) {
+        Ok(checkout) => checkout,
+        Err((status, body)) => return inline("stream_push", status, body),
     };
-
-    let index = shared
-        .model_index(&model_name)
-        .expect("session names a model");
-    let entry = &shared.models[index].1;
+    let (model_name, entry) = &shared.models[index];
     entry.requests.fetch_add(1, Ordering::Relaxed);
-
-    // Settles a failed push on the reactor thread (parse/admission errors
-    // happen before dispatch): a failed FIRST push removes the freshly
-    // created entry — the client was never told a session exists, so
-    // keeping it would leak one table slot per bad request.
-    let settle_error_inline = |client: ClientState| {
-        let mut sessions = lock_clean(&shared.sessions);
-        if created {
-            sessions.warm.remove(id);
-        } else if let Some(entry) = sessions.warm.get_mut(id) {
-            entry.client = Some(client);
-        }
-    };
-
     let chunk = match parse_event_stream(&doc, entry.pool.artifact()) {
         Ok(chunk) => chunk,
         Err(message) => {
             entry.errors.fetch_add(1, Ordering::Relaxed);
-            settle_error_inline(client);
+            shared.sessions.release(id, client, created);
             return inline("stream_push", 400, error_body(&message));
         }
     };
     if let Err(shed) = admit(shared, entry) {
         entry.errors.fetch_add(1, Ordering::Relaxed);
-        settle_error_inline(client);
+        shared.sessions.release(id, client, created);
         return shed.into_outcome("stream_push");
     }
 
     let callback_shared = Arc::clone(shared);
     let session_id = id.to_owned();
+    let model_name = model_name.clone();
     let request_id = request_id.to_owned();
     let keep_alive = request.keep_alive;
     // Interactive priority lane, with the parked affinity hint: the warm
     // engine when the fleet has room, any engine (bit-identically) when
-    // load says otherwise. The callback re-parks the advanced client state
-    // — even when the connection has meanwhile died, so a mid-stream client
-    // disconnect frees the session slot instead of wedging it busy. The
-    // response itself is rendered later, on the connection's reactor shard:
-    // only the durable write-ahead park stays here, because its ordering
-    // guarantee (snapshot on disk before the session is unmarked busy and
-    // before the client can see the ack) is what crash recovery rests on.
+    // load says otherwise. The callback hands the session back — even when
+    // the connection has meanwhile died, so a mid-stream client disconnect
+    // frees the session instead of wedging it busy. The response itself is
+    // rendered later, on the connection's reactor shard: only the durable
+    // write-ahead park stays here, because crash recovery rests on the
+    // snapshot reaching disk before the client can see the ack.
     entry
         .scheduler
         .call_push_async(client, chunk, preferred_lane, move |record| {
@@ -2125,34 +1776,11 @@ fn handle_stream_push(
                 .record(record.queue_us, record.service_us, record.result.is_err());
             let client = record.client;
             let chunks_pushed = client.chunks_pushed();
-            let park = |session_id: &str, client: ClientState, served_lane: Option<usize>| {
-                let mut sessions = lock_clean(&shared.sessions);
-                sessions.clock += 1;
-                let stamp = sessions.clock;
-                if let Some(entry) = sessions.warm.get_mut(session_id) {
-                    entry.client = Some(client);
-                    entry.last_used = stamp;
-                    if served_lane.is_some() {
-                        entry.preferred_lane = served_lane;
-                    }
-                }
-            };
             let (status, body) = match record.result {
                 Ok(output) => {
-                    // Write-ahead park: the advanced state reaches the
-                    // durable store *before* the session is unmarked busy
-                    // (and before the client sees the response), so a
-                    // crash after this point replays from the chunk just
-                    // acknowledged, never an older one. The session is
-                    // busy for the whole write — close/evict cannot race
-                    // it. A failed write degrades the session to its
-                    // previous snapshot (best effort), never to a torn
-                    // one: the store commits via rename.
-                    if let Some(tier) = shared.durable.as_ref() {
-                        let bytes = entry.pool.artifact().snapshot_client(&client);
-                        let _ = lock_clean(&tier.store).park(&session_id, &bytes);
-                    }
-                    park(&session_id, client, Some(record.lane));
+                    shared
+                        .sessions
+                        .park(&session_id, index, client, record.lane);
                     (
                         200,
                         ResponseBody::Push {
@@ -2166,13 +1794,7 @@ fn handle_stream_push(
                 }
                 Err(error) => {
                     entry.errors.fetch_add(1, Ordering::Relaxed);
-                    if created {
-                        // The first push never parked a snapshot, so the
-                        // table entry is the only state to reclaim.
-                        lock_clean(&shared.sessions).warm.remove(&session_id);
-                    } else {
-                        park(&session_id, client, None);
-                    }
+                    shared.sessions.release(&session_id, client, created);
                     (400, ResponseBody::Ready(error_body(&error.to_string())))
                 }
             };
@@ -2193,72 +1815,13 @@ fn handle_stream_push(
 }
 
 fn handle_stream_close(shared: &ServerShared, id: &str) -> (u16, String) {
-    // Transient local, moved out immediately — boxing the warm entry
-    // would buy nothing but an allocation per close.
-    #[allow(clippy::large_enum_variant)]
-    enum Closed {
-        Warm(StreamEntry),
-        Cold(usize),
-    }
-    let closed = {
-        let mut sessions = lock_clean(&shared.sessions);
-        if sessions.warm.get(id).is_some_and(|e| e.client.is_none()) {
-            return (409, error_body("session busy: a push is in flight"));
-        }
-        if let Some(entry) = sessions.warm.remove(id) {
-            Closed::Warm(entry)
-        } else if let Some(index) = sessions.cold.remove(id) {
-            Closed::Cold(index)
-        } else {
-            return (404, error_body("unknown session"));
-        }
+    let (index, client) = match shared.sessions.close(id) {
+        Ok(closed) => closed,
+        Err(rejected) => return rejected,
     };
-    // Either way the id is fully reclaimed: table entry gone above, disk
-    // snapshot gone below — a closed session cannot resurrect on restart.
-    let (model_name, index, client) = match closed {
-        Closed::Warm(entry) => {
-            if let Some(tier) = shared.durable.as_ref() {
-                let _ = lock_clean(&tier.store).remove(id);
-            }
-            let index = shared
-                .model_index(&entry.model)
-                .expect("session names a model");
-            let client = entry.client.expect("checked non-busy");
-            (entry.model, index, client)
-        }
-        Closed::Cold(index) => {
-            let Some(tier) = shared.durable.as_ref() else {
-                return (404, error_body("unknown session"));
-            };
-            let bytes = lock_clean(&tier.store).load(id);
-            let _ = lock_clean(&tier.store).remove(id);
-            // The close summary needs the parked state; a snapshot that
-            // no longer verifies still closes the session (everything is
-            // reclaimed), it just cannot report a summary.
-            let restored = match bytes {
-                Ok(Some(bytes)) => shared.models[index]
-                    .1
-                    .pool
-                    .artifact()
-                    .restore_client(&bytes),
-                Ok(None) => Err(sne::SneError::from(sne_store::StoreError::Malformed(
-                    "snapshot missing",
-                ))),
-                Err(e) => Err(sne::SneError::from(sne_store::StoreError::from(e))),
-            };
-            let Ok(client) = restored else {
-                tier.corrupt_discarded.fetch_add(1, Ordering::Relaxed);
-                return (
-                    404,
-                    error_body("session snapshot corrupted: session discarded"),
-                );
-            };
-            (shared.models[index].0.clone(), index, client)
-        }
-    };
-    let model = &shared.models[index].1;
+    let (model_name, model) = &shared.models[index];
     let summary = model.pool.artifact().summary(&client);
-    let mut members = result_members(&model_name, &summary);
+    let mut members = result_members(model_name, &summary);
     members.insert(0, ("session", Json::from(id)));
     members.push(("closed", Json::from(true)));
     members.push(("chunks_pushed", Json::from(client.chunks_pushed())));
@@ -2365,10 +1928,7 @@ fn stats_body(shared: &ServerShared) -> String {
         ("completed", Json::from(stats.completed)),
         ("errors", Json::from(stats.errors)),
         ("throughput_rps", Json::from(throughput_rps)),
-        (
-            "active_streams",
-            Json::from(lock_clean(&shared.sessions).warm.len()),
-        ),
+        ("active_streams", Json::from(shared.sessions.warm_len())),
         ("connections", Json::from(shared.open_connections())),
         ("evictions", Json::from(shared.evictions_total())),
         (
@@ -2393,7 +1953,7 @@ fn stats_body(shared: &ServerShared) -> String {
         ("recent_requests", recent),
         ("models", models),
     ];
-    if let Some(d) = shared.durability_stats() {
+    if let Some(d) = shared.sessions.durability() {
         members.push((
             "durability",
             Json::obj(vec![

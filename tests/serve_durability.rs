@@ -320,6 +320,46 @@ fn corrupt_snapshots_cost_exactly_one_session() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn runtime_discard_deletes_the_snapshot_and_leaves_model_counters_alone() {
+    let network = Arc::new(compiled(44));
+    let dir = store_dir("runtime-discard");
+    let feed = sample(902);
+    let first = durable_server(&network, &dir, 8);
+    push_chunk(first.addr(), "lose", &feed.chunks(8).next().unwrap());
+    first.shutdown();
+
+    // Adopted cold at boot, then corrupted on disk before its next push.
+    let second = durable_server(&network, &dir, 8);
+    assert_eq!(second.cold_sessions(), 1);
+    let snap = dir.join(format!("s{}.snap", hex("lose")));
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x40;
+    std::fs::write(&snap, &bytes).unwrap();
+
+    let body = client::infer_body("tiny", &feed.chunks(8).nth(1).unwrap());
+    let (status, _) = client::post(second.addr(), "/v1/stream/lose/push", &body).unwrap();
+    assert_eq!(status, 404);
+    assert!(!snap.exists(), "discarded snapshot must be deleted");
+    assert_eq!(durability(&second).corrupt_discarded, 1);
+    assert_eq!(second.cold_sessions(), 0);
+
+    // The session never resolved, so no model request or error is counted.
+    let (_, stats) = client::get(second.addr(), "/v1/stats").unwrap();
+    let stats = Json::parse(&stats).unwrap();
+    let model = stats.get("models").and_then(|m| m.get("tiny")).unwrap();
+    let count = |key: &str| model.get(key).and_then(Json::as_u64).unwrap();
+    assert!(count("errors") <= count("requests"), "{model}");
+    second.shutdown();
+
+    let third = durable_server(&network, &dir, 8);
+    assert_eq!(durability(&third).corrupt_discarded, 0);
+    assert_eq!(third.cold_sessions(), 0);
+    third.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Mirrors the store's filename encoding (lowercase hex of the id bytes)
 /// closely enough to find a session's snapshot file in tests.
 fn hex(id: &str) -> String {
