@@ -111,11 +111,7 @@ fn measure_pair_us(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_datapath.json".to_owned());
+    let out_path = sne_bench::report_out_path(&args, "BENCH_datapath.json");
     let kernel_arg = args
         .iter()
         .position(|a| a == "--kernel")
@@ -312,7 +308,7 @@ fn main() {
         proportionality_ratio <= 0.5
     ));
     json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_datapath.json");
+    sne_bench::write_report(&out_path, &json);
 
     println!(
         "Sparse datapath — compiled plan vs naive mapping walk (Fig. 6 @ 32x32, 8 slices, {TIMESTEPS} ts)"
@@ -357,7 +353,7 @@ fn main() {
     println!(
         "plan host time, 0.1% vs 10% activity: {proportionality_ratio:.4} (target <= 0.5: energy-proportional host time)"
     );
-    println!("wrote {out_path}");
+    println!("wrote {}", out_path.display());
 
     if !smoke {
         // Regression guards (smoke runs skip them — 3 iterations are too

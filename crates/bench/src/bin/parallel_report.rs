@@ -1,64 +1,31 @@
-//! Measures the wall-clock scaling of the parallel executor and emits a
-//! machine-readable `BENCH_parallel.json`, tracking the threading trajectory
-//! from PR to PR (the companion of `BENCH_session.json`).
+//! Measures the wall-clock scaling of the scheduler's worker threads and
+//! emits a machine-readable `BENCH_parallel.json` (the companion of
+//! `BENCH_session.json`).
 //!
-//! Two workloads, each swept over 1/2/4/8 host worker threads:
+//! One workload, `batch16`, swept over 1/2/4/8 scheduler workers: a 16-lane
+//! [`BatchRunner`] serving 16 Fig. 6 streams, separate requests running on
+//! separate workers (the fleet-serving scenario). Engines themselves always
+//! run on their worker's thread.
 //!
-//! * `batch16` — a 16-lane [`BatchRunner`] serving 16 Fig. 6 streams, lanes
-//!   driven on worker threads (the fleet-serving scenario);
-//! * `engine_slices` — one engine's per-slice worker fan-out inside a single
-//!   inference.
-//!
-//! The binary asserts that every thread count produces **bit-identical**
-//! aggregate statistics before reporting any timing. Note the measured
-//! speedups are bounded by the host's available parallelism (recorded in the
-//! JSON as `host_parallelism`): on a single-core runner all thread counts
-//! legitimately measure ~1.0x.
+//! The binary asserts that every worker count produces **bit-identical**
+//! aggregate statistics before reporting any timing. The measured speedups
+//! are bounded by the host's available parallelism (recorded in the JSON as
+//! `host_parallelism`): on a single-core host all worker counts measure
+//! ~1.0x.
 //!
 //! ```bash
-//! cargo run --release -p sne_bench --bin parallel_report                   # full sweep
-//! cargo run --release -p sne_bench --bin parallel_report -- --smoke        # CI smoke
-//! cargo run --release -p sne_bench --bin parallel_report -- --threads auto # 1 vs auto
-//! cargo run --release -p sne_bench --bin parallel_report -- --threads 4    # 1 vs 4
+//! cargo run --release -p sne_bench --bin parallel_report              # full sweep
+//! cargo run --release -p sne_bench --bin parallel_report -- --smoke   # CI smoke
 //! cargo run --release -p sne_bench --bin parallel_report -- --out x.json
 //! ```
-//!
-//! `--threads auto` sweeps only the sequential baseline against
-//! [`ExecStrategy::auto`] — the self-tuning strategy that resolves to
-//! `Sequential` on a single-core host (where the full sweep can only
-//! document spawn overhead, e.g. the 0.48x engine_slices point an earlier
-//! 1-core artifact recorded) and to the host's available parallelism
-//! otherwise.
 
 use std::time::Instant;
 
 use sne::batch::BatchRunner;
-use sne::session::InferenceSession;
-use sne::ExecStrategy;
 use sne_bench::{fig6_network, workload};
 use sne_sim::SneConfig;
 
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-struct Sweep {
-    name: &'static str,
-    /// `(threads, mean wall-clock ms per run)` in sweep order.
-    points: Vec<(usize, f64)>,
-}
-
-impl Sweep {
-    fn mean_ms(&self, threads: usize) -> f64 {
-        self.points
-            .iter()
-            .find(|(t, _)| *t == threads)
-            .map(|(_, ms)| *ms)
-            .unwrap_or(f64::NAN)
-    }
-
-    fn speedup(&self, threads: usize) -> f64 {
-        self.mean_ms(1) / self.mean_ms(threads)
-    }
-}
+const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn measure(iterations: u32, mut run: impl FnMut() -> u64) -> f64 {
     let _ = run(); // warm-up: thread pools, page faults, lazy buffers
@@ -74,62 +41,21 @@ fn measure(iterations: u32, mut run: impl FnMut() -> u64) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_parallel.json".to_owned());
-    let batch_iterations: u32 = if smoke { 2 } else { 15 };
-    let engine_iterations: u32 = if smoke { 5 } else { 60 };
+    let out_path = sne_bench::report_out_path(&args, "BENCH_parallel.json");
+    let iterations: u32 = if smoke { 2 } else { 15 };
     let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    // --threads auto (or N) restricts the sweep to the sequential baseline
-    // plus that one strategy; the default sweeps 1/2/4/8.
-    let threads_arg = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1).cloned());
-    let auto_threads = ExecStrategy::auto().threads();
-    let sweep: Vec<usize> = match threads_arg.as_deref() {
-        Some("auto") => {
-            let mut s = vec![1];
-            if auto_threads > 1 {
-                s.push(auto_threads);
-            }
-            s
-        }
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .unwrap_or_else(|_| panic!("--threads expects a number or \"auto\", got {n:?}"));
-            let mut s = vec![1];
-            if n > 1 {
-                s.push(n);
-            }
-            s
-        }
-        None => THREAD_SWEEP.to_vec(),
-    };
 
     let network = fig6_network(32, 11, 5);
     let config = SneConfig::with_slices(8);
     let streams: Vec<_> = (0..16).map(|i| workload(32, 12, 0.01, 100 + i)).collect();
 
-    // --- batch16: 16 lanes over 16 streams, lanes on worker threads -------
-    let mut batch_reference: Option<sne::BatchReport> = None;
-    let mut batch = Sweep {
-        name: "batch16",
-        points: Vec::new(),
-    };
-    for &threads in &sweep {
-        let mut runner = BatchRunner::with_exec(
-            network.clone(),
-            config,
-            16,
-            ExecStrategy::from_threads(threads),
-        )
-        .unwrap();
-        // Bit-exactness gate: every thread count must reproduce the
-        // sequential report (modulo the recorded thread count itself and
+    // 16 lanes over 16 streams, requests spread over the scheduler workers.
+    let mut reference: Option<sne::BatchReport> = None;
+    let mut points: Vec<(usize, f64)> = Vec::new();
+    for workers in WORKER_SWEEP {
+        let mut runner = BatchRunner::with_workers(network.clone(), config, 16, workers).unwrap();
+        // Bit-exactness gate: every worker count must reproduce the
+        // single-worker report (modulo the recorded worker count itself and
         // the host-measured serving telemetry, which varies run to run).
         let mut report = runner.run(&streams).unwrap();
         report.threads = 1;
@@ -140,47 +66,20 @@ fn main() {
         report.steals = 0;
         report.affinity_hits = 0;
         report.affinity_misses = 0;
-        match &batch_reference {
-            None => batch_reference = Some(report),
+        match &reference {
+            None => reference = Some(report),
             Some(reference) => assert_eq!(
                 &report, reference,
-                "batch report at {threads} threads diverged from sequential"
+                "batch report at {workers} workers diverged from one worker"
             ),
         }
-        let mean = measure(batch_iterations, || {
+        let mean = measure(iterations, || {
             runner.run(&streams).unwrap().total_stats.total_cycles
         });
-        batch.points.push((threads, mean));
+        points.push((workers, mean));
     }
+    let speedup = |mean: f64| points[0].1 / mean;
 
-    // --- engine_slices: per-slice fan-out inside one inference ------------
-    let mut engine_reference: Option<u64> = None;
-    let mut engine = Sweep {
-        name: "engine_slices",
-        points: Vec::new(),
-    };
-    for &threads in &sweep {
-        let mut session = InferenceSession::with_exec(
-            network.clone(),
-            config,
-            ExecStrategy::from_threads(threads),
-        )
-        .unwrap();
-        let cycles = session.infer(&streams[0]).unwrap().stats.total_cycles;
-        match engine_reference {
-            None => engine_reference = Some(cycles),
-            Some(reference) => assert_eq!(
-                cycles, reference,
-                "engine stats at {threads} threads diverged from sequential"
-            ),
-        }
-        let mean = measure(engine_iterations, || {
-            session.infer(&streams[0]).unwrap().stats.total_cycles
-        });
-        engine.points.push((threads, mean));
-    }
-
-    let sweeps = [&batch, &engine];
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"parallel_scaling\",\n");
@@ -189,62 +88,32 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     ));
     json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    json.push_str(&format!(
-        "  \"auto_resolves_to\": {auto_threads},\n  \"threads_arg\": \"{}\",\n",
-        threads_arg.as_deref().unwrap_or("sweep")
-    ));
-    json.push_str(&format!(
-        "  \"iterations\": {{\"batch16\": {batch_iterations}, \"engine_slices\": {engine_iterations}}},\n"
-    ));
+    json.push_str(&format!("  \"iterations\": {iterations},\n"));
     json.push_str(
         "  \"workload\": {\"network\": \"fig6_32x32\", \"timesteps\": 12, \"activity\": 0.01, \"slices\": 8, \"lanes\": 16, \"streams\": 16},\n",
     );
-    json.push_str("  \"strategy\": \"threads=1 is Sequential, otherwise Threaded(n)\",\n");
-    for (i, sweep) in sweeps.iter().enumerate() {
-        json.push_str(&format!("  \"{}\": {{\n", sweep.name));
-        for (j, (threads, mean)) in sweep.points.iter().enumerate() {
-            json.push_str(&format!(
-                "    \"{}\": {{\"mean_ms\": {:.3}, \"speedup_vs_1\": {:.3}}}{}\n",
-                threads,
-                mean,
-                sweep.speedup(*threads),
-                if j + 1 < sweep.points.len() { "," } else { "" }
-            ));
-        }
+    json.push_str("  \"batch16\": {\n");
+    for (j, (workers, mean)) in points.iter().enumerate() {
         json.push_str(&format!(
-            "  }}{}\n",
-            if i + 1 < sweeps.len() { "," } else { "" }
+            "    \"{}\": {{\"mean_ms\": {:.3}, \"speedup_vs_1\": {:.3}}}{}\n",
+            workers,
+            mean,
+            speedup(*mean),
+            if j + 1 < points.len() { "," } else { "" }
         ));
     }
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_parallel.json");
+    json.push_str("  }\n}\n");
+    sne_bench::write_report(&out_path, &json);
 
     println!(
-        "Parallel executor scaling — Fig. 6 @ 32x32, 1 % activity, 8 slices (host parallelism: {host_parallelism})"
+        "Scheduler worker scaling — Fig. 6 @ 32x32, 1 % activity, 8 slices, 16 lanes (host parallelism: {host_parallelism})"
     );
     println!();
-    println!(
-        "{:<16} {:>10} {:>12} {:>10}",
-        "sweep", "threads", "ms/run", "speedup"
-    );
-    for sweep in sweeps {
-        for (threads, mean) in &sweep.points {
-            println!(
-                "{:<16} {:>10} {:>12.3} {:>9.2}x",
-                sweep.name,
-                threads,
-                mean,
-                sweep.speedup(*threads)
-            );
-        }
+    println!("{:>10} {:>12} {:>10}", "workers", "ms/batch", "speedup");
+    for (workers, mean) in &points {
+        println!("{:>10} {:>12.3} {:>9.2}x", workers, mean, speedup(*mean));
     }
     println!();
-    let headline = *sweep.last().unwrap_or(&1);
-    println!(
-        "batch16 speedup at {} threads: {:.2}x (bit-exact across all thread counts: verified; auto resolves to {} on this host)",
-        headline,
-        batch.speedup(headline),
-        auto_threads
-    );
-    println!("wrote {out_path}");
+    println!("bit-exact across all worker counts: verified");
+    println!("wrote {}", out_path.display());
 }

@@ -417,11 +417,7 @@ fn main() {
         .position(|a| a == "--shards")
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--shards takes a positive integer"));
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_serve.json".to_owned());
+    let out_path = sne_bench::report_out_path(&args, "BENCH_serve.json");
     let phase = match args
         .iter()
         .position(|a| a == "--phase")
@@ -899,7 +895,7 @@ fn main() {
         shard_speedup.map_or("null".to_owned(), |s| format!("{s:.2}"))
     ));
     json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
+    sne_bench::write_report(&out_path, &json);
 
     println!();
     println!(
@@ -911,5 +907,5 @@ fn main() {
     println!(
         "durable tier: {parked_to_disk} demotions to disk, {faulted_in} fault-ins, all snapshots reclaimed on close"
     );
-    println!("wrote {out_path}");
+    println!("wrote {}", out_path.display());
 }

@@ -5,8 +5,6 @@
 //! ```bash
 //! cargo run --release -p sne_bench --bin session_report                      # full run
 //! cargo run --release -p sne_bench --bin session_report -- --smoke          # CI smoke
-//! cargo run --release -p sne_bench --bin session_report -- --threads 4      # threaded engine
-//! cargo run --release -p sne_bench --bin session_report -- --threads auto   # host-sized
 //! cargo run --release -p sne_bench --bin session_report -- --out x.json
 //! ```
 
@@ -14,7 +12,7 @@ use std::time::Instant;
 
 use sne::batch::{BatchRunner, LatencySummary};
 use sne::session::InferenceSession;
-use sne::{ExecStrategy, SneAccelerator};
+use sne::SneAccelerator;
 use sne_bench::{fig6_network, workload};
 use sne_sim::SneConfig;
 
@@ -48,25 +46,7 @@ fn measure(name: &'static str, iterations: u32, mut run: impl FnMut() -> u64) ->
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_session.json".to_owned());
-    // Engine execution strategy: --threads N fans the per-slice workers of
-    // every measured path out over N host threads; --threads auto sizes the
-    // fan-out to the host (sequential on a 1-core machine, where spawning
-    // can only lose). Bit-identical results either way; the JSON records the
-    // resolved strategy so artifacts are comparable.
-    let threads_arg = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1).cloned());
-    let exec = match threads_arg.as_deref() {
-        Some("auto") => ExecStrategy::auto(),
-        Some(n) => ExecStrategy::from_threads(n.parse().unwrap_or(1)),
-        None => ExecStrategy::Sequential,
-    };
+    let out_path = sne_bench::report_out_path(&args, "BENCH_session.json");
     let iterations: u32 = if smoke { 5 } else { 100 };
 
     let config = SneConfig::with_slices(8);
@@ -75,7 +55,7 @@ fn main() {
     // Old path: compile + allocate + run, per call.
     let per_call = measure("per_call_compile_and_run", iterations, || {
         let network = fig6_network(32, 11, 5);
-        let mut accelerator = SneAccelerator::with_exec(config, exec);
+        let mut accelerator = SneAccelerator::new(config);
         accelerator
             .run(&network, &stream)
             .unwrap()
@@ -85,7 +65,7 @@ fn main() {
 
     // Middle ground: compile once, per-call accelerator entry point.
     let network = fig6_network(32, 11, 5);
-    let mut accelerator = SneAccelerator::with_exec(config, exec);
+    let mut accelerator = SneAccelerator::new(config);
     let reference = accelerator.run(&network, &stream).unwrap();
     let accel_reuse = measure("accelerator_reuse", iterations, || {
         accelerator
@@ -96,14 +76,14 @@ fn main() {
     });
 
     // New path: one persistent session, repeated inference.
-    let mut session = InferenceSession::with_exec(network.clone(), config, exec).unwrap();
+    let mut session = InferenceSession::new(network.clone(), config).unwrap();
     let session_result = session.infer(&stream).unwrap();
     let session_reuse = measure("session_infer", iterations, || {
         session.infer(&stream).unwrap().stats.total_cycles
     });
 
     // Streaming: same feed in 4-timestep chunks through one session.
-    let mut streaming = InferenceSession::with_exec(network, config, exec).unwrap();
+    let mut streaming = InferenceSession::new(network, config).unwrap();
     let session_push = measure("session_push_chunks", iterations, || {
         streaming.reset();
         stream
@@ -126,13 +106,8 @@ fn main() {
     //    a closed burst cannot gate queue-wait, since every job then waits
     //    on the backlog ahead of it by construction.
     let batch_streams: Vec<_> = (0..8).map(|i| workload(32, 12, 0.01, 70 + i)).collect();
-    let mut runner = BatchRunner::with_exec(
-        fig6_network(32, 11, 5),
-        config,
-        4,
-        ExecStrategy::threaded(4),
-    )
-    .expect("runner builds");
+    let mut runner =
+        BatchRunner::with_workers(fig6_network(32, 11, 5), config, 4, 4).expect("runner builds");
     let _warmup = runner.run(&batch_streams).expect("warmup batch runs");
     let batch = runner.run(&batch_streams).expect("batch runs");
 
@@ -203,15 +178,6 @@ fn main() {
     ));
     json.push_str(&format!("  \"iterations\": {},\n", iterations));
     json.push_str("  \"datapath\": \"plan\",\n");
-    json.push_str(&format!("  \"threads\": {},\n", exec.threads()));
-    json.push_str(&format!(
-        "  \"strategy\": \"{}\",\n",
-        if exec.is_parallel() {
-            "threaded"
-        } else {
-            "sequential"
-        }
-    ));
     json.push_str(
         "  \"workload\": {\"network\": \"fig6_32x32\", \"timesteps\": 12, \"activity\": 0.01, \"slices\": 8},\n",
     );
@@ -270,7 +236,7 @@ fn main() {
     json.push_str(&format!("  \"functionally_identical\": {}\n", identical));
     json.push_str("}\n");
 
-    std::fs::write(&out_path, &json).expect("write BENCH_session.json");
+    sne_bench::write_report(&out_path, &json);
 
     println!("Session runtime — compile-once/run-many vs per-call (8 slices, Fig. 6 @ 32x32, 1 % activity)");
     println!();
@@ -303,7 +269,7 @@ fn main() {
         queue_to_service_p50,
         paced_spread
     );
-    println!("wrote {out_path}");
+    println!("wrote {}", out_path.display());
     assert!(
         identical,
         "session and accelerator paths must agree functionally"

@@ -87,11 +87,7 @@ fn validates(artifact: &RuntimeArtifact, bytes: &[u8]) -> bool {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_store.json".to_owned());
+    let out_path = sne_bench::report_out_path(&args, "BENCH_store.json");
 
     let (codec_iters, park_never_iters, park_always_iters, recovery_sessions) = if smoke {
         (40, 40, 8, 12)
@@ -303,8 +299,8 @@ fn main() {
         "  \"gates\": {\"round_trip_bit_exact\": true, \"corruption_rejected\": true, \"future_version_refused\": true}\n",
     );
     json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_store.json");
+    sne_bench::write_report(&out_path, &json);
 
     println!();
-    println!("wrote {out_path}");
+    println!("wrote {}", out_path.display());
 }

@@ -1,8 +1,10 @@
-//! Shared helpers for the benchmark binaries and Criterion benches.
+//! Shared helpers for the benchmark binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper's
 //! evaluation section (see `DESIGN.md` for the experiment index); the helpers
 //! here build the workloads and networks those binaries share.
+
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,6 +118,42 @@ pub fn accelerator_sweep() -> Vec<(usize, SneAccelerator)> {
         .collect()
 }
 
+/// Directory a `--smoke` run of a `*_report` binary writes to when no
+/// `--out` is given, so a smoke run never overwrites a committed full-mode
+/// `BENCH_*.json`.
+pub const SMOKE_OUT_DIR: &str = "target/bench-smoke";
+
+/// Where a `*_report` binary writes its JSON artifact, given its arguments
+/// (program name excluded): the path after `--out` if there is one;
+/// otherwise `artifact` (the committed `BENCH_*.json` name) for a full run,
+/// or `artifact` under [`SMOKE_OUT_DIR`] for a `--smoke` run.
+#[must_use]
+pub fn report_out_path(args: &[String], artifact: &str) -> PathBuf {
+    if let Some(out) = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+    {
+        PathBuf::from(out)
+    } else if args.iter().any(|a| a == "--smoke") {
+        Path::new(SMOKE_OUT_DIR).join(artifact)
+    } else {
+        PathBuf::from(artifact)
+    }
+}
+
+/// Writes a report artifact to `path`, creating its parent directory.
+///
+/// # Panics
+///
+/// Panics if the directory or the file cannot be written.
+pub fn write_report(path: &Path, json: &str) {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,5 +185,27 @@ mod tests {
         let sweep = accelerator_sweep();
         assert_eq!(sweep.len(), 4);
         assert_eq!(sweep[3].1.config().num_slices, 8);
+    }
+
+    #[test]
+    fn smoke_runs_never_default_to_the_committed_artifact() {
+        let args = |list: &[&str]| list.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>();
+        assert_eq!(
+            report_out_path(&args(&[]), "BENCH_x.json"),
+            PathBuf::from("BENCH_x.json")
+        );
+        assert_eq!(
+            report_out_path(&args(&["--smoke"]), "BENCH_x.json"),
+            Path::new(SMOKE_OUT_DIR).join("BENCH_x.json")
+        );
+        for list in [
+            &["--smoke", "--out", "y.json"][..],
+            &["--out", "y.json", "--smoke"],
+        ] {
+            assert_eq!(
+                report_out_path(&args(list), "BENCH_x.json"),
+                PathBuf::from("y.json")
+            );
+        }
     }
 }

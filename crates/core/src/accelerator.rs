@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use sne_energy::{EnergyModel, PerformanceModel};
 use sne_event::EventStream;
-use sne_sim::{Engine, ExecStrategy, LayerMapping, LayerPlan, SneConfig};
+use sne_sim::{Engine, LayerMapping, LayerPlan, SneConfig};
 
 use crate::compile::{CompiledNetwork, Stage};
 use crate::run::InferenceResult;
@@ -35,16 +35,8 @@ impl SneAccelerator {
     /// Creates an accelerator with the given engine configuration.
     #[must_use]
     pub fn new(config: SneConfig) -> Self {
-        Self::with_exec(config, ExecStrategy::Sequential)
-    }
-
-    /// Creates an accelerator whose engine fans its per-slice worker units
-    /// out with the given [`ExecStrategy`] (bit-identical results for every
-    /// strategy; only host wall-clock time differs).
-    #[must_use]
-    pub fn with_exec(config: SneConfig, exec: ExecStrategy) -> Self {
         Self {
-            engine: Engine::with_exec(config, exec),
+            engine: Engine::new(config),
             energy: EnergyModel::new(),
             performance: PerformanceModel::new(),
             cached_plans: None,
@@ -79,17 +71,6 @@ impl SneAccelerator {
     #[must_use]
     pub fn config(&self) -> &SneConfig {
         self.engine.config()
-    }
-
-    /// The execution strategy of the engine's per-slice worker units.
-    #[must_use]
-    pub fn exec(&self) -> ExecStrategy {
-        self.engine.exec()
-    }
-
-    /// Changes the execution strategy (never changes results).
-    pub fn set_exec(&mut self, exec: ExecStrategy) {
-        self.engine.set_exec(exec);
     }
 
     /// The underlying cycle-level engine (e.g. to enable tracing).
@@ -182,7 +163,7 @@ impl SneAccelerator {
         // entry point discards neuron state at the end, so run stateless;
         // `PipelinedSession` is the persistent variant.
         let shares = pipeline_shares(network, &config)?;
-        let mut engines = pipeline_engines(&config, &shares, self.engine.exec());
+        let mut engines = pipeline_engines(&config, &shares);
         let plans = self.plans_for(network);
         let outcome = run_stages(&mut engines, network, input, Some(&plans), None, false)?;
 

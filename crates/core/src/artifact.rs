@@ -149,10 +149,11 @@ impl RuntimeArtifact {
 
     /// Allocates one engine configured for this artifact. Engines are the
     /// expensive, checkout-able resource; create as many as the fleet has
-    /// lanes and reuse them across requests.
+    /// lanes and reuse them across requests. Engines always run
+    /// sequentially; the strategy argument is ignored.
     #[must_use]
-    pub fn new_engine(&self, exec: ExecStrategy) -> Engine {
-        Engine::with_exec(self.config, exec)
+    pub fn new_engine(&self, _exec: ExecStrategy) -> Engine {
+        Engine::new(self.config)
     }
 
     /// Allocates one per-client state: resting neuron state for every

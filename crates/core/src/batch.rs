@@ -36,10 +36,10 @@
 //! the engine's scratch client first), *which* engine serves a request can
 //! never change its result: the dynamic scheduler's per-stream results are
 //! bit-identical to the static round-robin runner's, in input order, for
-//! every [`ExecStrategy`]. Only the host-measured latencies differ.
+//! every worker count. Only the host-measured latencies differ.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -161,23 +161,16 @@ pub struct EnginePool {
     idle: Mutex<Vec<PooledEngine>>,
     available: Condvar,
     lanes: usize,
-    engine_exec: ExecStrategy,
 }
 
 impl EnginePool {
     /// Builds `lanes` engines (and scratch clients) against `artifact`, all
-    /// allocated here, once. `engine_exec` is each engine's per-slice worker
-    /// fan-out (keep it [`ExecStrategy::Sequential`] when the parallelism
-    /// lives across lanes, as in [`BatchRunner`]).
+    /// allocated here, once.
     ///
     /// # Errors
     ///
     /// Returns [`SneError::EmptyBatch`] if `lanes` is zero.
-    pub fn new(
-        artifact: Arc<RuntimeArtifact>,
-        lanes: usize,
-        engine_exec: ExecStrategy,
-    ) -> Result<Self, SneError> {
+    pub fn new(artifact: Arc<RuntimeArtifact>, lanes: usize) -> Result<Self, SneError> {
         if lanes == 0 {
             return Err(SneError::EmptyBatch);
         }
@@ -185,7 +178,7 @@ impl EnginePool {
             .map(|lane| PooledEngine {
                 lane,
                 artifact: Arc::clone(&artifact),
-                engine: artifact.new_engine(engine_exec),
+                engine: artifact.new_engine(ExecStrategy::Sequential),
                 scratch: artifact.new_client(),
             })
             .collect();
@@ -194,11 +187,11 @@ impl EnginePool {
             idle: Mutex::new(idle),
             available: Condvar::new(),
             lanes,
-            engine_exec,
         })
     }
 
     /// Convenience: compiles the artifact and builds the pool in one step.
+    /// Engines always run sequentially; the strategy argument is ignored.
     ///
     /// # Errors
     ///
@@ -208,28 +201,18 @@ impl EnginePool {
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
         lanes: usize,
-        engine_exec: ExecStrategy,
+        _exec: ExecStrategy,
     ) -> Result<Self, SneError> {
         if lanes == 0 {
             return Err(SneError::EmptyBatch);
         }
-        Self::new(
-            Arc::new(RuntimeArtifact::new(network, config)?),
-            lanes,
-            engine_exec,
-        )
+        Self::new(Arc::new(RuntimeArtifact::new(network, config)?), lanes)
     }
 
     /// Total engines in the fleet.
     #[must_use]
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// The per-slice worker fan-out every engine of this pool was built with.
-    #[must_use]
-    pub fn engine_exec(&self) -> ExecStrategy {
-        self.engine_exec
     }
 
     /// Engines currently idle (not checked out).
@@ -634,10 +617,7 @@ struct SchedShared {
     pool: Arc<EnginePool>,
     state: Mutex<SchedState>,
     ready: Condvar,
-    /// Shared with the replacement scheduler across a
-    /// [`BatchRunner::set_exec`] swap, so ids stay globally monotonic and
-    /// sorting by id always recovers submission order.
-    next_id: Arc<AtomicU64>,
+    next_id: AtomicU64,
     recorder: LatencyRecorder,
     steals: AtomicU64,
     affinity_hits: AtomicU64,
@@ -674,19 +654,11 @@ pub struct Scheduler {
 impl Scheduler {
     /// Starts `workers` worker threads over `pool`, each owning one engine
     /// checked out for the worker's lifetime. `workers` is clamped to the
-    /// pool size (an engine-less worker could serve nothing); size with
-    /// [`ExecStrategy::pool_workers`]. Blocks until `workers` engines are
-    /// free, so build the scheduler over a pool whose engines are not
-    /// checked out elsewhere.
+    /// pool size (an engine-less worker could serve nothing) and to at
+    /// least one. Blocks until `workers` engines are free, so build the
+    /// scheduler over a pool whose engines are not checked out elsewhere.
     #[must_use]
     pub fn new(pool: Arc<EnginePool>, workers: usize) -> Self {
-        Self::with_ids(pool, workers, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Like [`Scheduler::new`], but drawing request ids from a shared
-    /// counter — the mechanism that keeps ids monotonic across a
-    /// [`BatchRunner::set_exec`] scheduler swap.
-    fn with_ids(pool: Arc<EnginePool>, workers: usize, next_id: Arc<AtomicU64>) -> Self {
         let workers = workers.clamp(1, pool.lanes());
         let mut engines: Vec<PooledEngine> = (0..workers).map(|_| pool.checkout()).collect();
         // Deterministic worker→lane mapping (lowest lanes first), so tests
@@ -701,7 +673,7 @@ impl Scheduler {
                 rr_cursor: 0,
             }),
             ready: Condvar::new(),
-            next_id,
+            next_id: AtomicU64::new(0),
             recorder: LatencyRecorder::new(),
             steals: AtomicU64::new(0),
             affinity_hits: AtomicU64::new(0),
@@ -1171,17 +1143,6 @@ pub struct BatchReport {
 pub struct BatchRunner {
     pool: Arc<EnginePool>,
     scheduler: Scheduler,
-    exec: ExecStrategy,
-    /// Request-id source shared across every scheduler this runner builds,
-    /// so ids stay monotonic (and drain order stays submission order)
-    /// across [`BatchRunner::set_exec`] swaps.
-    ids: Arc<AtomicU64>,
-    /// Completion records rescued from a scheduler that was replaced by
-    /// [`BatchRunner::set_exec`] while submissions were outstanding;
-    /// returned (in order) by the next [`BatchRunner::drain`]. Each record
-    /// keeps the lane of the engine that actually served it, so utilization
-    /// telemetry stays truthful across the swap.
-    carryover: Vec<RequestRecord>,
 }
 
 impl BatchRunner {
@@ -1198,23 +1159,23 @@ impl BatchRunner {
         config: SneConfig,
         lanes: usize,
     ) -> Result<Self, SneError> {
-        Self::with_exec(network, config, lanes, ExecStrategy::Sequential)
+        Self::with_workers(network, config, lanes, 1)
     }
 
-    /// Like [`BatchRunner::new`], but requests are served by
-    /// `exec.pool_workers(lanes)` scheduler worker threads. Each engine
-    /// stays sequential — the parallelism lives across the fleet, mirroring
-    /// the independent SNE instances — and every per-stream result is
-    /// bit-identical to the sequential runner's.
+    /// Like [`BatchRunner::new`], but requests are served by `workers`
+    /// scheduler worker threads (clamped to `1..=lanes`), each owning one
+    /// engine. The parallelism lives across the fleet, mirroring the
+    /// independent SNE instances, and every per-stream result is
+    /// bit-identical to the single-worker runner's.
     ///
     /// # Errors
     ///
     /// Same as [`BatchRunner::new`].
-    pub fn with_exec(
+    pub fn with_workers(
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
         lanes: usize,
-        exec: ExecStrategy,
+        workers: usize,
     ) -> Result<Self, SneError> {
         let pool = Arc::new(EnginePool::for_network(
             network,
@@ -1222,19 +1183,8 @@ impl BatchRunner {
             lanes,
             ExecStrategy::Sequential,
         )?);
-        let ids = Arc::new(AtomicU64::new(0));
-        let scheduler = Scheduler::with_ids(
-            Arc::clone(&pool),
-            exec.pool_workers(lanes),
-            Arc::clone(&ids),
-        );
-        Ok(Self {
-            pool,
-            scheduler,
-            exec,
-            ids,
-            carryover: Vec::new(),
-        })
+        let scheduler = Scheduler::new(Arc::clone(&pool), workers);
+        Ok(Self { pool, scheduler })
     }
 
     /// Number of pooled engines.
@@ -1256,36 +1206,6 @@ impl BatchRunner {
         &self.scheduler
     }
 
-    /// The execution strategy driving the fleet.
-    #[must_use]
-    pub fn exec(&self) -> ExecStrategy {
-        self.exec
-    }
-
-    /// Changes the execution strategy: the scheduler is rebuilt with the new
-    /// worker count. Submissions still outstanding on the old scheduler are
-    /// waited for and their completion records carried over to the next
-    /// [`BatchRunner::drain`] — no result is ever lost. Never changes
-    /// results.
-    pub fn set_exec(&mut self, exec: ExecStrategy) {
-        self.exec = exec;
-        let workers = exec.pool_workers(self.pool.lanes());
-        if workers != self.scheduler.workers() {
-            if self.scheduler.outstanding() > 0 {
-                // Rescued records keep the lane of the engine that served
-                // them (never remapped to the new scheduler's workers), so
-                // utilization attribution stays truthful across the swap.
-                self.carryover.extend(self.scheduler.drain());
-            }
-            // Shut the old scheduler down FIRST: its workers own their
-            // engines, and the replacement blocks checking its own out
-            // until they are returned.
-            self.scheduler.shutdown();
-            self.scheduler =
-                Scheduler::with_ids(Arc::clone(&self.pool), workers, Arc::clone(&self.ids));
-        }
-    }
-
     /// Submits one stream to the dynamic scheduler without waiting; collect
     /// with [`BatchRunner::drain`]. Returns the request id. Accepts an owned
     /// stream or an `Arc` (no event copy for the latter).
@@ -1294,14 +1214,9 @@ impl BatchRunner {
     }
 
     /// Waits for all submitted requests and returns their completion records
-    /// in submission order. Ids are drawn from one shared counter across
-    /// [`BatchRunner::set_exec`] swaps, so sorting rescued and fresh records
-    /// together by id is exactly submission order.
+    /// in submission order.
     pub fn drain(&mut self) -> Vec<RequestRecord> {
-        let mut records = std::mem::take(&mut self.carryover);
-        records.extend(self.scheduler.drain());
-        records.sort_by_key(|r| r.id);
-        records
+        self.scheduler.drain()
     }
 
     /// Runs every stream through the dynamic scheduler (submit-all, then
@@ -1318,7 +1233,7 @@ impl BatchRunner {
     /// (the same error the round-robin runner reports).
     pub fn run(&mut self, streams: &[EventStream]) -> Result<BatchReport, SneError> {
         assert!(
-            self.carryover.is_empty() && self.scheduler.outstanding() == 0,
+            self.scheduler.outstanding() == 0,
             "drain() incremental submissions before a closed-batch run()"
         );
         let before = self.scheduler.stats();
@@ -1369,9 +1284,8 @@ impl BatchRunner {
 
     /// The legacy statically pinned runner, kept as the reference oracle the
     /// dynamic scheduler is proven against: stream `i` runs on lane
-    /// `i % lanes`, each lane consuming its share in input order (on worker
-    /// threads under a parallel [`ExecStrategy`], exactly the pre-scheduler
-    /// behavior). Queue-wait latency is zero by construction.
+    /// `i % lanes`, walked in input order on the calling thread. Queue-wait
+    /// latency is zero by construction.
     ///
     /// The oracle fleet is built fresh from the shared artifact rather than
     /// checked out of the pool — the scheduler's workers own the pool's
@@ -1390,83 +1304,28 @@ impl BatchRunner {
             .map(|lane| PooledEngine {
                 lane,
                 artifact: Arc::clone(artifact),
-                engine: artifact.new_engine(self.pool.engine_exec()),
+                engine: artifact.new_engine(ExecStrategy::Sequential),
                 scratch: artifact.new_client(),
             })
             .collect();
 
-        // The lane that served a walk slot, plus per-stream results (with
-        // service time) — or the first `(stream index, error)` the slot
-        // hit. Slot `i` owns lane `i` by construction, but the lane id is
-        // still carried explicitly for utilization attribution.
-        type LaneOutcome = (
-            usize,
-            Result<Vec<(usize, InferenceResult, f64)>, (usize, SneError)>,
-        );
-        // Lowest failing stream index observed so far, for deterministic
-        // fail-fast: a failure at index `m` makes every result with a higher
-        // index moot (the batch returns the minimum-index error), so lanes
-        // stop once their next stream is beyond it. Streams below `m` always
-        // run, so an even earlier failure is never missed — the reported
-        // error is identical for every strategy and thread interleaving.
-        let min_failed = AtomicUsize::new(usize::MAX);
-        let lane_outcomes: Vec<LaneOutcome> = self.exec.map(&mut engines, |slot, engine| {
-            let mut outcomes = Vec::new();
-            for (i, stream) in streams.iter().enumerate().skip(slot).step_by(lanes) {
-                if i > min_failed.load(Ordering::SeqCst) {
-                    // Indices only grow within a lane; nothing left to do.
-                    break;
-                }
-                let service_start = Instant::now();
-                match engine.infer(stream) {
-                    Ok(result) => {
-                        outcomes.push((i, result, service_start.elapsed().as_secs_f64() * 1e6));
-                    }
-                    Err(error) => {
-                        min_failed.fetch_min(i, Ordering::SeqCst);
-                        return (engine.lane(), Err((i, error)));
-                    }
-                }
-            }
-            (engine.lane(), Ok(outcomes))
-        });
-        drop(engines);
-        let wall_us = wall_start.elapsed().as_secs_f64() * 1e6;
-
-        // Deterministic reduction: first failing stream index wins; otherwise
-        // scatter the per-lane results back into input order.
-        let mut first_error: Option<(usize, SneError)> = None;
-        let mut slots: Vec<Option<InferenceResult>> = (0..streams.len()).map(|_| None).collect();
+        let mut results = Vec::with_capacity(streams.len());
         let mut service_samples = Vec::with_capacity(streams.len());
         let mut lane_busy_us = vec![0.0f64; lanes];
-        for (lane, outcome) in lane_outcomes {
-            match outcome {
-                Ok(outcomes) => {
-                    for (i, result, service_us) in outcomes {
-                        slots[i] = Some(result);
-                        service_samples.push(service_us);
-                        lane_busy_us[lane] += service_us;
-                    }
-                }
-                Err((i, error)) => {
-                    if first_error.as_ref().map_or(true, |(j, _)| i < *j) {
-                        first_error = Some((i, error));
-                    }
-                }
-            }
+        for (i, stream) in streams.iter().enumerate() {
+            let lane = i % lanes;
+            let service_start = Instant::now();
+            results.push(engines[lane].infer(stream)?);
+            let service_us = service_start.elapsed().as_secs_f64() * 1e6;
+            service_samples.push(service_us);
+            lane_busy_us[lane] += service_us;
         }
-        if let Some((_, error)) = first_error {
-            return Err(error);
-        }
-        let results: Vec<InferenceResult> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every stream produced a result"))
-            .collect();
+        let wall_us = wall_start.elapsed().as_secs_f64() * 1e6;
         let queue_samples = vec![0.0f64; results.len()];
         Ok(assemble_report(
             results,
             lanes,
-            self.exec.threads(),
+            1,
             &queue_samples,
             &service_samples,
             &lane_busy_us,
@@ -1605,7 +1464,7 @@ mod tests {
         let artifact =
             Arc::new(RuntimeArtifact::new(compiled(), SneConfig::with_slices(2)).unwrap());
         assert!(matches!(
-            EnginePool::new(artifact, 0, ExecStrategy::Sequential),
+            EnginePool::new(artifact, 0),
             Err(SneError::EmptyBatch)
         ));
     }
@@ -1841,57 +1700,23 @@ mod tests {
             BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), 4).unwrap();
         let reference = sequential.run(&streams).unwrap();
         assert_eq!(reference.threads, 1);
-        for threads in [2usize, 3, 8] {
-            let mut parallel = BatchRunner::with_exec(
+        // Worker counts are clamped to `1..=lanes`.
+        for threads in [0usize, 2, 3, 8] {
+            let mut parallel = BatchRunner::with_workers(
                 Arc::clone(&network),
                 SneConfig::with_slices(2),
                 4,
-                ExecStrategy::threaded(threads),
+                threads,
             )
             .unwrap();
             let report = parallel.run(&streams).unwrap();
-            assert_eq!(report.threads, threads.min(4));
+            assert_eq!(report.threads, threads.clamp(1, 4));
             assert_eq!(report.results, reference.results, "threads = {threads}");
             assert_eq!(report.total_stats, reference.total_stats);
             assert_eq!(report.lanes, reference.lanes);
             assert!((report.makespan_ms - reference.makespan_ms).abs() < 1e-12);
             assert!((report.total_energy_uj - reference.total_energy_uj).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn exec_strategy_is_switchable_between_batches() {
-        let mut runner = BatchRunner::new(compiled(), SneConfig::with_slices(2), 2).unwrap();
-        let streams = streams(5);
-        let before = runner.run(&streams).unwrap();
-        runner.set_exec(ExecStrategy::threaded(4));
-        assert!(runner.exec().is_parallel());
-        let after = runner.run(&streams).unwrap();
-        assert_eq!(before.results, after.results);
-        // 4 requested, clamped to the 2 pool lanes.
-        assert_eq!(after.threads, 2);
-    }
-
-    #[test]
-    fn set_exec_never_loses_outstanding_results() {
-        let network = Arc::new(compiled());
-        let mut runner =
-            BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), 2).unwrap();
-        let streams = streams(3);
-        let expected = runner.run(&streams).unwrap();
-        for stream in &streams {
-            let _ = runner.submit(stream.clone());
-        }
-        // Swapping the scheduler mid-flight must rescue the outstanding
-        // completions instead of dropping them with the old scheduler.
-        runner.set_exec(ExecStrategy::threaded(2));
-        let records = runner.drain();
-        assert_eq!(records.len(), 3);
-        for (record, expected) in records.iter().zip(&expected.results) {
-            assert_eq!(record.result.as_ref().unwrap(), expected);
-        }
-        // And the runner is fully usable afterwards.
-        assert_eq!(runner.run(&streams).unwrap().results, expected.results);
     }
 
     #[test]
@@ -1905,13 +1730,8 @@ mod tests {
             BatchRunner::new(network.clone(), SneConfig::with_slices(2), 3).unwrap();
         let expected = sequential.run(&streams).unwrap_err();
         assert_eq!(sequential.run_round_robin(&streams).unwrap_err(), expected);
-        let mut parallel = BatchRunner::with_exec(
-            network,
-            SneConfig::with_slices(2),
-            3,
-            ExecStrategy::threaded(3),
-        )
-        .unwrap();
+        let mut parallel =
+            BatchRunner::with_workers(network, SneConfig::with_slices(2), 3, 3).unwrap();
         assert_eq!(parallel.run(&streams).unwrap_err(), expected);
         assert_eq!(parallel.run_round_robin(&streams).unwrap_err(), expected);
     }
@@ -1978,45 +1798,5 @@ mod tests {
             .map(|job| job.id)
             .collect();
         assert_eq!(stolen, vec![11, 10, 1, 0]);
-    }
-
-    #[test]
-    fn set_exec_carryover_keeps_lane_attribution() {
-        let network = Arc::new(compiled());
-        // 3-lane pool, sequential exec: one worker owning one engine. The
-        // owned lane is whatever the pool handed out — capture it.
-        let mut runner = BatchRunner::with_exec(
-            Arc::clone(&network),
-            SneConfig::with_slices(2),
-            3,
-            ExecStrategy::Sequential,
-        )
-        .unwrap();
-        let owned_lane = runner.scheduler().worker_lanes()[0];
-        let streams = streams(4);
-        for stream in &streams {
-            let _ = runner.submit(stream.clone());
-        }
-        // The swap rescues the outstanding completions. Regression: rescued
-        // records must keep the lane of the engine that actually served them
-        // (the old scheduler's owned lane), not be remapped to the new
-        // scheduler's worker indices.
-        runner.set_exec(ExecStrategy::threaded(3));
-        let records = runner.drain();
-        assert_eq!(records.len(), 4);
-        let mut session =
-            InferenceSession::new(Arc::clone(&network), SneConfig::with_slices(2)).unwrap();
-        for (record, stream) in records.iter().zip(&streams) {
-            assert_eq!(record.lane, owned_lane, "carried record lost its lane");
-            assert_eq!(
-                record.result.as_ref().unwrap(),
-                &session.infer(stream).unwrap()
-            );
-        }
-        // Ids recover submission order across the swap.
-        let ids: Vec<u64> = records.iter().map(|r| r.id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted);
     }
 }

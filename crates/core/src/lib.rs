@@ -38,11 +38,9 @@
 //! dynamic scheduler is proven bit-identical against), and the `sne_serve`
 //! crate is the HTTP front-end over the same tiers.
 //!
-//! Every entry point accepts an [`ExecStrategy`] (`with_exec` constructors):
-//! `Threaded(n)` fans the simulator's independent units — per-slice workers
-//! inside an engine, layer stages of a [`session::PipelinedSession`], lanes
-//! of a [`batch::BatchRunner`] — out over host worker threads, with results
-//! bit-identical to `Sequential` for every `n`.
+//! Host parallelism lives at one level only: the scheduler's worker threads,
+//! one per warm engine ([`batch::BatchRunner::with_workers`]). Engines and
+//! sessions run on the calling thread.
 //!
 //! # Example
 //!
@@ -95,10 +93,6 @@ pub use compile::{CompiledNetwork, Stage};
 pub use error::SneError;
 pub use run::{InferenceResult, LayerExecution};
 pub use session::{ChunkOutput, InferenceSession, PipelinedSession};
-// The execution strategy is part of the top-level API surface: every entry
-// point (`SneAccelerator`, the sessions, `BatchRunner`) takes it via a
-// `with_exec` constructor.
-pub use sne_sim::ExecStrategy;
 
 // Re-export the crates a downstream user needs to drive the API.
 pub use sne_energy;

@@ -14,6 +14,13 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive, so without a cap a body of a few hundred KB of `[` overflows
+/// the stack of the thread parsing it; past this depth it returns a
+/// [`JsonError`] instead. The server's own documents nest at most a few
+/// levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 ///
 /// Object members keep their source order (lookup is linear — the server's
@@ -53,7 +60,7 @@ impl std::error::Error for JsonError {}
 
 impl Json {
     /// Parses one JSON document (trailing whitespace allowed, trailing
-    /// garbage rejected).
+    /// garbage rejected, nesting capped at [`MAX_DEPTH`]).
     ///
     /// # Errors
     ///
@@ -62,6 +69,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -239,6 +247,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -279,8 +289,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("nesting deeper than the parser's limit"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -539,6 +560,18 @@ mod tests {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far past any stack: an error, not an overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

@@ -483,9 +483,9 @@ impl ServerBuilder {
     }
 
     /// Compiles `network` under `config` and registers it as `name`, backed
-    /// by a pool of `lanes` engines (`engine_exec` is each engine's
-    /// per-slice fan-out). Registering the same name twice replaces the
-    /// earlier pool.
+    /// by a pool of `lanes` engines. Engines always run sequentially; the
+    /// strategy argument is ignored. Registering the same name twice
+    /// replaces the earlier pool.
     ///
     /// # Errors
     ///
@@ -496,13 +496,13 @@ impl ServerBuilder {
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
         lanes: usize,
-        engine_exec: ExecStrategy,
+        _exec: ExecStrategy,
     ) -> Result<Self, SneError> {
         let pool = Arc::new(EnginePool::for_network(
             network,
             config,
             lanes,
-            engine_exec,
+            ExecStrategy::Sequential,
         )?);
         Ok(self.register_pool(name, pool))
     }

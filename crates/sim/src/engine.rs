@@ -23,7 +23,6 @@ use sne_event::{Event, EventFormat, EventOp, EventStream};
 
 use crate::collector::Collector;
 use crate::config::SneConfig;
-use crate::exec::ExecStrategy;
 use crate::mapping::LayerMapping;
 use crate::memory::MemoryModel;
 use crate::plan::{EventRow, LayerPlan};
@@ -63,8 +62,6 @@ pub struct Engine {
     memory: MemoryModel,
     format: EventFormat,
     trace: Trace,
-    /// How the per-slice worker units of a pass execute on the host.
-    exec: ExecStrategy,
     /// Per-slice worker records, reused across timesteps, passes and runs
     /// (the hot path performs no per-timestep allocation).
     records: Vec<SliceRecord>,
@@ -84,32 +81,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Minimum work size — op-sequence entries × slices — below which a pass
-    /// takes the sequential path even under a parallel [`ExecStrategy`]:
-    /// scoped-thread spawns would cost more than they save on tiny passes
-    /// (e.g. a streamed chunk through a small dense classifier). The gate is
-    /// a pure wall-clock heuristic; results are bit-identical either way.
-    /// Exposed so tests sizing workloads to exercise the threaded fan-out
-    /// can assert they cross it.
-    ///
-    /// Calibrated against thread-spawn cost (~tens of µs per scoped worker):
-    /// with the compiled-plan datapath a worker unit burns well under 100 ns
-    /// per op-sequence entry, so passes below ~1k units lose more to spawning
-    /// than they can win back — the low-core regression `BENCH_parallel.json`
-    /// exposed (engine_slices 0.48x at 8 threads on a 1-core host).
-    pub const MIN_PARALLEL_UNITS: usize = 1024;
-
-    /// Creates an engine with the given configuration (sequential execution).
+    /// Creates an engine with the given configuration.
     #[must_use]
     pub fn new(config: SneConfig) -> Self {
-        Self::with_exec(config, ExecStrategy::Sequential)
-    }
-
-    /// Creates an engine that runs its per-slice worker units with the given
-    /// [`ExecStrategy`]. The strategy affects wall-clock time only: results,
-    /// statistics and traces are bit-identical for every strategy.
-    #[must_use]
-    pub fn with_exec(config: SneConfig, exec: ExecStrategy) -> Self {
         let slices = (0..config.num_slices)
             .map(|_| Slice::new(&config))
             .collect();
@@ -121,7 +95,6 @@ impl Engine {
             memory: MemoryModel::new(config.memory_latency, 2),
             format: EventFormat::default(),
             trace: Trace::disabled(),
-            exec,
             records: Vec::new(),
             cursors: Vec::new(),
             kernel: Kernel::auto(),
@@ -151,17 +124,6 @@ impl Engine {
     #[must_use]
     pub fn config(&self) -> &SneConfig {
         &self.config
-    }
-
-    /// The execution strategy of the per-slice worker units.
-    #[must_use]
-    pub fn exec(&self) -> ExecStrategy {
-        self.exec
-    }
-
-    /// Changes the execution strategy (takes effect on the next run).
-    pub fn set_exec(&mut self, exec: ExecStrategy) {
-        self.exec = exec;
     }
 
     /// The configuration register file (for host-style programming).
@@ -306,11 +268,9 @@ impl Engine {
     }
 
     /// Executes a layer run as a sequence of mapping passes, each decomposed
-    /// into independent per-slice worker units ([`crate::worker`]) fanned out
-    /// by the engine's [`ExecStrategy`] and merged back by a deterministic
-    /// slice-order reduction ([`Engine::reduce_pass`]). The strategy affects
-    /// wall-clock time only — outputs, statistics and traces are
-    /// bit-identical for every strategy.
+    /// into independent per-slice worker units ([`crate::worker`]) run in
+    /// slice order and merged back by a deterministic slice-order reduction
+    /// ([`Engine::reduce_pass`]).
     fn run_layer_inner(
         &mut self,
         mapping: &LayerMapping,
@@ -416,44 +376,20 @@ impl Engine {
                 });
             }
 
-            // Fan out: one worker unit per slice — the slice, its record and
-            // its disjoint share of the persistent state. No shared mutable
-            // state, so the units can run on any host schedule.
-            let mut state_shares: Vec<Option<&mut [crate::cluster::ClusterState]>> =
-                match state.as_deref_mut() {
-                    Some(st) => st.pass_slices_mut(pass).map(Some).collect(),
-                    None => (0..self.config.num_slices).map(|_| None).collect(),
+            // One worker unit per slice: the slice, its record and its
+            // disjoint share of the persistent state.
+            let mut shares = state.as_deref_mut().map(|st| st.pass_slices_mut(pass));
+            for (s, (slice, record)) in self.slices.iter_mut().zip(&mut self.records).enumerate() {
+                let base = pass * per_pass + s * neurons_per_slice;
+                let mut task = SliceTask {
+                    slice,
+                    record,
+                    state: shares.as_mut().and_then(Iterator::next),
+                    base: base.min(total_neurons),
+                    count: neurons_per_slice.min(total_neurons.saturating_sub(base)),
                 };
-            let mut tasks: Vec<SliceTask<'_>> = self
-                .slices
-                .iter_mut()
-                .zip(self.records.iter_mut())
-                .zip(state_shares.drain(..))
-                .enumerate()
-                .map(|(s, ((slice, record), share))| {
-                    let base = pass * per_pass + s * neurons_per_slice;
-                    let count = neurons_per_slice.min(total_neurons.saturating_sub(base));
-                    SliceTask {
-                        slice,
-                        record,
-                        state: share,
-                        base: base.min(total_neurons),
-                        count,
-                    }
-                })
-                .collect();
-            // Fanning a pass out only pays when there is enough work to
-            // amortize the scoped-thread spawns; tiny passes (e.g. the final
-            // dense classifier of a streamed chunk) take the sequential path.
-            // Results are bit-identical either way — the gate only moves
-            // host wall-clock time.
-            let exec = if op_sequence.len() * self.config.num_slices < Self::MIN_PARALLEL_UNITS {
-                ExecStrategy::Sequential
-            } else {
-                self.exec
-            };
-            exec.run(&mut tasks, |_, task| run_slice_pass(task, &ctx));
-            drop(tasks);
+                run_slice_pass(&mut task, &ctx);
+            }
 
             stats.streamer_reads += in_reads;
             stats.stall_cycles += in_stalls;
@@ -1035,10 +971,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_execution_is_bit_exact_with_sequential() {
+    fn multi_pass_chunked_resume_matches_the_whole_run() {
         // Multi-pass layer (2 passes on the small config), leak + threshold
-        // so state carries across timesteps, chunked stateful resume — the
-        // full surface the parallel fan-out must reproduce exactly.
+        // so state carries across timesteps, chunked stateful resume.
         let weights: Vec<i8> = (0..8 * 9).map(|i| ((i % 7) as i8) - 3).collect();
         let mapping = LayerMapping::conv(
             crate::mapping::MapShape::new(1, 4, 4),
@@ -1051,8 +986,6 @@ mod tests {
             },
         )
         .unwrap();
-        // 250 timesteps with ~375 events: enough op-sequence entries that the
-        // pass crosses the engine's minimum-work gate and genuinely fans out.
         let mut stream = EventStream::new(4, 4, 1, 250);
         for t in 0..250 {
             stream.push(Event::update(t, 0, (t % 4) as u16, 2)).unwrap();
@@ -1060,41 +993,25 @@ mod tests {
                 stream.push(Event::update(t, 0, 1, 1)).unwrap();
             }
         }
-        assert!(
-            stream.to_op_sequence().len() * small_config().num_slices >= Engine::MIN_PARALLEL_UNITS,
-            "workload must cross the parallel gate or the test is vacuous"
-        );
+        let expected = Engine::new(small_config())
+            .run_layer(&mapping, &stream)
+            .unwrap();
+        assert_eq!(expected.stats.passes, 2);
 
-        let mut sequential = Engine::new(small_config());
-        sequential.enable_trace(256);
-        let expected = sequential.run_layer(&mapping, &stream).unwrap();
-
-        for threads in [1usize, 2, 3, 8] {
-            let mut threaded =
-                Engine::with_exec(small_config(), crate::exec::ExecStrategy::threaded(threads));
-            assert_eq!(threaded.exec().threads(), threads.max(1));
-            threaded.enable_trace(256);
-            let result = threaded.run_layer(&mapping, &stream).unwrap();
-            assert_eq!(result, expected, "threads = {threads}");
-            assert_eq!(threaded.trace().records(), sequential.trace().records());
-
-            // Stateful chunked resume under threads matches the whole run.
-            let mut chunked =
-                Engine::with_exec(small_config(), crate::exec::ExecStrategy::threaded(threads));
-            let mut state = LayerState::new(&small_config(), &mapping);
-            let mut events = Vec::new();
-            for (i, (start, end)) in [(0, 100), (100, 250)].into_iter().enumerate() {
-                let chunk = stream.window(start, end);
-                let run = chunked
-                    .run_layer_stateful(&mapping, &chunk, &mut state, i > 0)
-                    .unwrap();
-                events.extend(run.output.into_events().into_iter().map(|e| Event {
-                    t: e.t + start,
-                    ..e
-                }));
-            }
-            assert_eq!(events, expected.output.as_slice(), "threads = {threads}");
+        let mut chunked = Engine::new(small_config());
+        let mut state = LayerState::new(&small_config(), &mapping);
+        let mut events = Vec::new();
+        for (i, (start, end)) in [(0, 100), (100, 250)].into_iter().enumerate() {
+            let chunk = stream.window(start, end);
+            let run = chunked
+                .run_layer_stateful(&mapping, &chunk, &mut state, i > 0)
+                .unwrap();
+            events.extend(run.output.into_events().into_iter().map(|e| Event {
+                t: e.t + start,
+                ..e
+            }));
         }
+        assert_eq!(events, expected.output.as_slice());
     }
 
     #[test]
@@ -1151,17 +1068,6 @@ mod tests {
         assert!(engine
             .run_layer_stateful_planned(&mapping, &plan, &single_spike_stream(), &mut state, false)
             .is_err());
-    }
-
-    #[test]
-    fn exec_strategy_is_switchable_on_a_live_engine() {
-        let mut engine = Engine::new(small_config());
-        let mapping = conv_mapping(1);
-        let a = engine.run_layer(&mapping, &single_spike_stream()).unwrap();
-        engine.set_exec(crate::exec::ExecStrategy::threaded(4));
-        let b = engine.run_layer(&mapping, &single_spike_stream()).unwrap();
-        assert_eq!(a, b);
-        assert!(engine.exec().is_parallel());
     }
 
     #[test]

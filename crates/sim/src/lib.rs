@@ -34,10 +34,10 @@
 //!   TLU catch-up and fire scans over the per-slice structure-of-arrays
 //!   membrane arena in fixed-width SIMD blocks (SSE2 on x86_64), with a
 //!   manually unrolled scalar oracle that every path must match bit-exactly.
-//! * [`exec::ExecStrategy`] — how those independent units execute on the
-//!   host: sequentially or fanned out over scoped worker threads, with a
-//!   deterministic slice-order reduction that keeps every strategy
-//!   bit-exact.
+//! * [`exec::ExecStrategy`] — how an engine runs on the host: always on the
+//!   calling thread, slice by slice, merged by the slice-order reduction
+//!   that models the crossbar/collector arbitration. Host parallelism lives
+//!   in the scheduler's pool of engines (`sne::batch`), not inside one.
 //!
 //! The simulator is *functionally exact* with respect to the quantized LIF
 //! dynamics (it produces bit-identical output events to the functional model

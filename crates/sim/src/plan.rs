@@ -38,8 +38,7 @@
 //! modelled cycles nor any output: the naive mapping walk remains the
 //! reference oracle, and `tests/plan_equivalence.rs` pins plan ≡ naive
 //! bit-exactly (outputs, stats, traces, energy) over random geometries,
-//! border events, multi-pass layers, chunked stateful resume and every
-//! [`crate::exec::ExecStrategy`].
+//! border events, multi-pass layers and chunked stateful resume.
 
 use sne_event::Event;
 

@@ -107,9 +107,7 @@ impl LayerState {
     }
 
     /// Disjoint mutable views of every slice's cluster slots in pass `pass`,
-    /// in slice order — one view per per-slice worker unit, so a threaded
-    /// executor can hand each slice its share of the state with no shared
-    /// mutable borrow.
+    /// in slice order — one view per per-slice worker unit.
     ///
     /// # Panics
     ///

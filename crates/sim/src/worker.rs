@@ -5,10 +5,9 @@
 //! [`crate::state::LayerState`] and a [`SliceRecord`] capturing everything
 //! the slice produced — fired events, per-op synaptic counts, scan decisions
 //! and mergeable activity counters. Units share **no mutable state** (the
-//! mapping and the operation sequence are read-only), so they can run on any
-//! [`crate::exec::ExecStrategy`]; the engine afterwards merges the records in
-//! slice order, which reproduces the hardware's crossbar/collector
-//! arbitration bit-exactly regardless of the host schedule.
+//! mapping and the operation sequence are read-only); the engine runs them
+//! in slice order and then merges the records, which reproduces the
+//! hardware's crossbar/collector arbitration bit-exactly.
 //!
 //! The record doubles as the reusable buffer pool of the hot path: all its
 //! vectors are cleared, never dropped, so steady-state streaming performs no
@@ -115,8 +114,7 @@ impl SliceRecord {
     }
 
     /// Merges this record's activity counters into `stats`. Merging is a sum
-    /// per counter, so it is associative and independent of the slice order —
-    /// the property that makes the parallel fan-out bit-exact.
+    /// per counter, so it is associative and independent of the slice order.
     pub fn merge_into(&self, stats: &mut CycleStats, cycles_per_event: u64) {
         stats.synaptic_ops += self.synaptic_ops;
         stats.active_cluster_cycles += self.active_cluster_windows * cycles_per_event;

@@ -4,7 +4,7 @@
 //! primitives, engine outputs, cycle statistics, execution traces, energy
 //! reports and persisted [`LayerState`] — over random conv/dense geometries,
 //! span lengths straddling the block-width boundary, all-`±127` saturation
-//! storms, chunked stateful resume and every [`ExecStrategy`]. The scalar
+//! storms and chunked stateful resume. The scalar
 //! path is the reference; the blocked path is only allowed to move host
 //! wall-clock time.
 
@@ -12,15 +12,7 @@ use proptest::prelude::*;
 use sne_event::{Event, EventStream};
 use sne_sim::mapping::{LayerMapping, LifHardwareParams, MapShape};
 use sne_sim::plan::LayerPlan;
-use sne_sim::{Engine, ExecStrategy, Kernel, LayerState, SneConfig};
-
-/// Every execution strategy the engine supports, sequential first.
-const STRATEGIES: [ExecStrategy; 4] = [
-    ExecStrategy::Sequential,
-    ExecStrategy::Threaded(2),
-    ExecStrategy::Threaded(3),
-    ExecStrategy::Threaded(8),
-];
+use sne_sim::{Engine, Kernel, LayerState, SneConfig};
 
 fn small_config(num_slices: usize) -> SneConfig {
     SneConfig {
@@ -73,13 +65,12 @@ fn dense_mapping(
 /// Runs one layer on an engine forced to `kernel`, naive or planned.
 fn run_with_kernel(
     config: SneConfig,
-    exec: ExecStrategy,
     kernel: Kernel,
     mapping: &LayerMapping,
     plan: Option<&LayerPlan>,
     stream: &EventStream,
 ) -> sne_sim::LayerRunOutput {
-    let mut engine = Engine::with_exec(config, exec);
+    let mut engine = Engine::new(config);
     engine.set_kernel(kernel);
     match plan {
         Some(plan) => engine.run_layer_planned(mapping, plan, stream).unwrap(),
@@ -228,9 +219,8 @@ proptest! {
     }
 
     /// Engine level: blocked ≡ scalar ≡ naive. One conv layer over random
-    /// geometry, on the naive *and* the planned datapath, under every
-    /// execution strategy — identical outputs, statistics and per-timestep
-    /// profiles everywhere. The scalar naive run is the single oracle.
+    /// geometry, on the naive *and* the planned datapath — identical
+    /// outputs, statistics and per-timestep profiles everywhere. The scalar naive run is the single oracle.
     #[test]
     fn engine_runs_agree_across_kernels_and_datapaths(
         out_channels in 1u16..11,
@@ -256,18 +246,16 @@ proptest! {
         }
         let config = small_config(num_slices);
         let expected = run_with_kernel(
-            config, ExecStrategy::Sequential, Kernel::Scalar, &mapping, None, &stream,
+            config, Kernel::Scalar, &mapping, None, &stream,
         );
-        for exec in STRATEGIES {
-            for membrane_kernel in [Kernel::Scalar, Kernel::Blocked] {
-                for plan in [None, Some(&plan)] {
-                    let result = run_with_kernel(
-                        config, exec, membrane_kernel, &mapping, plan, &stream,
-                    );
-                    prop_assert_eq!(&result.output, &expected.output);
-                    prop_assert_eq!(result.stats, expected.stats);
-                    prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
-                }
+        for membrane_kernel in [Kernel::Scalar, Kernel::Blocked] {
+            for plan in [None, Some(&plan)] {
+                let result = run_with_kernel(
+                    config, membrane_kernel, &mapping, plan, &stream,
+                );
+                prop_assert_eq!(&result.output, &expected.output);
+                prop_assert_eq!(result.stats, expected.stats);
+                prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
             }
         }
     }
@@ -295,11 +283,11 @@ proptest! {
             stream.push(Event::update(t, 0, x, y)).unwrap();
         }
         let expected = run_with_kernel(
-            small_config(2), ExecStrategy::Sequential, Kernel::Scalar, &mapping, None, &stream,
+            small_config(2), Kernel::Scalar, &mapping, None, &stream,
         );
         for plan in [None, Some(&plan)] {
             let result = run_with_kernel(
-                small_config(2), ExecStrategy::Sequential, Kernel::Blocked,
+                small_config(2), Kernel::Blocked,
                 &mapping, plan, &stream,
             );
             prop_assert_eq!(result, expected.clone());
@@ -308,7 +296,7 @@ proptest! {
 
     /// Stateful streaming: chunked resume on the blocked kernel leaves the
     /// *identical persisted state* (membranes, pending leaks, dirty flags)
-    /// as the scalar kernel, for any cut point and strategy. The membrane
+    /// as the scalar kernel, for any cut point. The membrane
     /// bound decides fire-scan walk elision, so an inexact blocked span max
     /// would diverge here.
     #[test]
@@ -349,25 +337,23 @@ proptest! {
             }));
         }
 
-        for exec in STRATEGIES {
-            let mut chunked = Engine::with_exec(small_config(2), exec);
-            chunked.set_kernel(Kernel::Blocked);
-            let mut state = LayerState::new(&small_config(2), &mapping);
-            let mut events = Vec::new();
-            for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
-                let chunk = stream.window(start, end);
-                let run = chunked
-                    .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
-                    .unwrap();
-                prop_assert_eq!(run.stats, expected_stats[i]);
-                events.extend(run.output.into_events().into_iter().map(|e| Event {
-                    t: e.t + start,
-                    ..e
-                }));
-            }
-            prop_assert_eq!(&events[..], &expected_events[..]);
-            prop_assert_eq!(&state, &oracle_state);
+        let mut chunked = Engine::new(small_config(2));
+        chunked.set_kernel(Kernel::Blocked);
+        let mut state = LayerState::new(&small_config(2), &mapping);
+        let mut events = Vec::new();
+        for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
+            let chunk = stream.window(start, end);
+            let run = chunked
+                .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
+                .unwrap();
+            prop_assert_eq!(run.stats, expected_stats[i]);
+            events.extend(run.output.into_events().into_iter().map(|e| Event {
+                t: e.t + start,
+                ..e
+            }));
         }
+        prop_assert_eq!(&events[..], &expected_events[..]);
+        prop_assert_eq!(&state, &oracle_state);
     }
 }
 

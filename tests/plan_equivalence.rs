@@ -2,23 +2,15 @@
 //! [`LayerPlan`] tables must reproduce the naive [`LayerMapping`] walk
 //! **bit-exactly** — contribution lists (order included), engine outputs,
 //! cycle statistics and per-timestep profiles — over random conv/dense
-//! geometries, border events, multi-pass layers, stateful chunked resume and
-//! every [`ExecStrategy`]. The naive path is the reference oracle; the plan
+//! geometries, border events, multi-pass layers and stateful chunked
+//! resume. The naive path is the reference oracle; the plan
 //! is only allowed to move host wall-clock time.
 
 use proptest::prelude::*;
 use sne_event::{Event, EventStream};
 use sne_sim::mapping::{LayerMapping, LifHardwareParams, MapShape};
 use sne_sim::plan::LayerPlan;
-use sne_sim::{Engine, ExecStrategy, LayerState, SneConfig};
-
-/// Every execution strategy the engine supports, sequential first.
-const STRATEGIES: [ExecStrategy; 4] = [
-    ExecStrategy::Sequential,
-    ExecStrategy::Threaded(2),
-    ExecStrategy::Threaded(3),
-    ExecStrategy::Threaded(8),
-];
+use sne_sim::{Engine, LayerState, SneConfig};
 
 fn small_config(num_slices: usize) -> SneConfig {
     SneConfig {
@@ -145,8 +137,8 @@ proptest! {
         }
     }
 
-    /// Engine level: a planned layer run — including multi-pass layers and
-    /// every execution strategy — produces the identical [`sne_sim::LayerRunOutput`]
+    /// Engine level: a planned layer run — including multi-pass layers —
+    /// produces the identical [`sne_sim::LayerRunOutput`]
     /// (output events, stats, per-timestep profile) as the naive run.
     #[test]
     fn planned_engine_runs_are_bit_exact(
@@ -178,13 +170,11 @@ proptest! {
         if usize::from(out_channels) * 16 > small_config(num_slices).total_neurons() {
             prop_assert!(naive.passes_for(&mapping) > 1);
         }
-        for exec in STRATEGIES {
-            let mut planned = Engine::with_exec(small_config(num_slices), exec);
-            let result = planned.run_layer_planned(&mapping, &plan, &stream).unwrap();
-            prop_assert_eq!(&result.output, &expected.output);
-            prop_assert_eq!(result.stats, expected.stats);
-            prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
-        }
+        let mut planned = Engine::new(small_config(num_slices));
+        let result = planned.run_layer_planned(&mapping, &plan, &stream).unwrap();
+        prop_assert_eq!(&result.output, &expected.output);
+        prop_assert_eq!(result.stats, expected.stats);
+        prop_assert_eq!(&result.timestep_cycles, &expected.timestep_cycles);
     }
 
     /// Engine level, dense: the fast weight-row path is bit-exact end to end.
@@ -210,16 +200,14 @@ proptest! {
         }
         let mut naive = Engine::new(small_config(2));
         let expected = naive.run_layer(&mapping, &stream).unwrap();
-        for exec in STRATEGIES {
-            let mut planned = Engine::with_exec(small_config(2), exec);
-            let result = planned.run_layer_planned(&mapping, &plan, &stream).unwrap();
-            prop_assert_eq!(result, expected.clone());
-        }
+        let mut planned = Engine::new(small_config(2));
+        let result = planned.run_layer_planned(&mapping, &plan, &stream).unwrap();
+        prop_assert_eq!(result, expected.clone());
     }
 
     /// Stateful streaming: pushing chunks through the planned datapath (with
     /// resume) is bit-identical to pushing the same chunks through the naive
-    /// datapath, for any cut point, leaky multi-pass layer and strategy —
+    /// datapath, for any cut point and leaky multi-pass layer —
     /// membrane state, TLU bookkeeping and deferred leak all carry across
     /// chunk boundaries identically. (Chunked and *whole* runs agree as
     /// per-timestep event multisets but not always in within-timestep
@@ -263,24 +251,22 @@ proptest! {
             }));
         }
 
-        for exec in STRATEGIES {
-            let mut chunked = Engine::with_exec(small_config(2), exec);
-            let mut state = LayerState::new(&small_config(2), &mapping);
-            let mut events = Vec::new();
-            for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
-                let chunk = stream.window(start, end);
-                let run = chunked
-                    .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
-                    .unwrap();
-                prop_assert_eq!(run.stats, expected_stats[i]);
-                events.extend(run.output.into_events().into_iter().map(|e| Event {
-                    t: e.t + start,
-                    ..e
-                }));
-            }
-            prop_assert_eq!(&events[..], &expected_events[..]);
-            prop_assert_eq!(&state, &oracle_state);
+        let mut chunked = Engine::new(small_config(2));
+        let mut state = LayerState::new(&small_config(2), &mapping);
+        let mut events = Vec::new();
+        for (i, (start, end)) in [(0, cut), (cut, 12)].into_iter().enumerate() {
+            let chunk = stream.window(start, end);
+            let run = chunked
+                .run_layer_stateful_planned(&mapping, &plan, &chunk, &mut state, i > 0)
+                .unwrap();
+            prop_assert_eq!(run.stats, expected_stats[i]);
+            events.extend(run.output.into_events().into_iter().map(|e| Event {
+                t: e.t + start,
+                ..e
+            }));
         }
+        prop_assert_eq!(&events[..], &expected_events[..]);
+        prop_assert_eq!(&state, &oracle_state);
     }
 }
 

@@ -10,7 +10,7 @@
 use sne::batch::{BatchRunner, EnginePool, LatencySummary, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
-use sne::{ExecStrategy, RuntimeArtifact};
+use sne::RuntimeArtifact;
 use sne_event::EventStream;
 use sne_model::topology::Topology;
 use sne_model::Shape;
@@ -29,8 +29,7 @@ fn stream(timesteps: u32, seed: u64) -> EventStream {
 fn fixture(lanes: usize, seed: u64) -> (Arc<RuntimeArtifact>, Arc<EnginePool>, Scheduler) {
     let network = Arc::new(compiled(seed));
     let artifact = Arc::new(RuntimeArtifact::new(network, SneConfig::with_slices(2)).unwrap());
-    let pool =
-        Arc::new(EnginePool::new(Arc::clone(&artifact), lanes, ExecStrategy::Sequential).unwrap());
+    let pool = Arc::new(EnginePool::new(Arc::clone(&artifact), lanes).unwrap());
     let scheduler = Scheduler::new(Arc::clone(&pool), lanes);
     (artifact, pool, scheduler)
 }
@@ -169,13 +168,8 @@ fn steals_under_affinity_pressure_stay_bit_exact() {
 #[test]
 fn interactive_calls_cut_ahead_of_a_bulk_flood_without_starving_it() {
     let network = Arc::new(compiled(5));
-    let mut runner = BatchRunner::with_exec(
-        Arc::clone(&network),
-        SneConfig::with_slices(2),
-        2,
-        ExecStrategy::threaded(2),
-    )
-    .unwrap();
+    let mut runner =
+        BatchRunner::with_workers(Arc::clone(&network), SneConfig::with_slices(2), 2, 2).unwrap();
     let flood: Vec<EventStream> = (0..24).map(|i| stream(8, 300 + i)).collect();
     let probe = stream(8, 999);
     let mut session =

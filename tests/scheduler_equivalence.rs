@@ -3,27 +3,21 @@
 //! **exactly** the results of the legacy statically round-robin-pinned
 //! runner — per-stream results in input order (a statement strictly stronger
 //! than multiset equality), aggregated stats, modelled makespan and energy,
-//! and the same deterministic error choice — for every [`ExecStrategy`].
+//! and the same deterministic error choice — for every worker count.
 
 use proptest::prelude::*;
 use sne::batch::{BatchRunner, EnginePool, LatencySummary, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
-use sne::ExecStrategy;
 use sne_event::EventStream;
 use sne_model::topology::Topology;
 use sne_model::Shape;
 use sne_sim::SneConfig;
 use std::sync::Arc;
 
-/// The strategies every property is checked against (the sequential runner
-/// is always the oracle's driver).
-const STRATEGIES: [ExecStrategy; 4] = [
-    ExecStrategy::Sequential,
-    ExecStrategy::Threaded(2),
-    ExecStrategy::Threaded(3),
-    ExecStrategy::Threaded(8),
-];
+/// The scheduler worker counts every property is checked against (the
+/// single-worker runner always runs the oracle).
+const WORKERS: [usize; 4] = [1, 2, 3, 8];
 
 fn compiled(seed: u64) -> CompiledNetwork {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -44,7 +38,7 @@ fn workload(count: usize, seed: u64) -> Vec<EventStream> {
 }
 
 proptest! {
-    /// For any fleet size, stream count and strategy, the dynamic
+    /// For any fleet size, stream count and worker count, the dynamic
     /// scheduler's report carries the identical result vector (input order,
     /// hence identical multiset) and identical deterministic aggregates as
     /// the round-robin oracle.
@@ -61,12 +55,12 @@ proptest! {
         let mut oracle =
             BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), lanes).unwrap();
         let expected = oracle.run_round_robin(&streams).unwrap();
-        for exec in STRATEGIES {
-            let mut runner = BatchRunner::with_exec(
+        for workers in WORKERS {
+            let mut runner = BatchRunner::with_workers(
                 Arc::clone(&network),
                 SneConfig::with_slices(2),
                 lanes,
-                exec,
+                workers,
             )
             .unwrap();
             let dynamic = runner.run(&streams).unwrap();
@@ -80,7 +74,7 @@ proptest! {
                     || (dynamic.aggregate_rate.is_infinite()
                         && expected.aggregate_rate.is_infinite())
             );
-            // And the statically pinned walk on worker threads agrees too.
+            // And the oracle does not depend on the runner's worker count.
             let rr = runner.run_round_robin(&streams).unwrap();
             prop_assert_eq!(&rr.results, &expected.results);
         }
@@ -98,13 +92,9 @@ proptest! {
     ) {
         let network = Arc::new(compiled(3));
         let streams = workload(num_streams, stream_seed);
-        let mut runner = BatchRunner::with_exec(
-            Arc::clone(&network),
-            SneConfig::with_slices(2),
-            lanes,
-            ExecStrategy::threaded(lanes),
-        )
-        .unwrap();
+        let mut runner =
+            BatchRunner::with_workers(Arc::clone(&network), SneConfig::with_slices(2), lanes, lanes)
+                .unwrap();
         let closed = runner.run(&streams).unwrap();
 
         for stream in &streams {
@@ -134,10 +124,10 @@ proptest! {
         lanes in 2usize..5,
         jobs_per_lane in 2usize..4,
         chunk_len in 6u32..13,
-        exec_index in 0usize..4,
+        workers_index in 0usize..4,
         stream_seed in 0u64..500,
     ) {
-        let exec = STRATEGIES[exec_index];
+        let workers = WORKERS[workers_index];
         let network = Arc::new(compiled(7));
         let count = lanes * jobs_per_lane;
         let streams: Vec<EventStream> = (0..count)
@@ -150,11 +140,11 @@ proptest! {
                 )
             })
             .collect();
-        let mut runner = BatchRunner::with_exec(
+        let mut runner = BatchRunner::with_workers(
             Arc::clone(&network),
             SneConfig::with_slices(2),
             lanes,
-            exec,
+            workers,
         )
         .unwrap();
         // Warmup: the first batch pays worker-thread startup in its
@@ -239,7 +229,7 @@ proptest! {
         }
     }
 
-    /// Error choice is deterministic: whatever the strategy or arrival
+    /// Error choice is deterministic: whatever the worker count or arrival
     /// order, the batch reports the error of the lowest-numbered failing
     /// stream — the same one the round-robin oracle picks.
     #[test]
@@ -255,12 +245,12 @@ proptest! {
         let mut oracle =
             BatchRunner::new(Arc::clone(&network), SneConfig::with_slices(2), lanes).unwrap();
         let expected = oracle.run_round_robin(&streams).unwrap_err();
-        for exec in STRATEGIES {
-            let mut runner = BatchRunner::with_exec(
+        for workers in WORKERS {
+            let mut runner = BatchRunner::with_workers(
                 Arc::clone(&network),
                 SneConfig::with_slices(2),
                 lanes,
-                exec,
+                workers,
             )
             .unwrap();
             prop_assert_eq!(runner.run(&streams).unwrap_err(), expected.clone());
@@ -281,7 +271,6 @@ fn concurrent_callers_get_dedicated_session_results() {
                 sne::RuntimeArtifact::new(Arc::clone(&network), SneConfig::with_slices(2)).unwrap(),
             ),
             3,
-            ExecStrategy::Sequential,
         )
         .unwrap(),
     );

@@ -1,5 +1,5 @@
 //! Seeded randomized stress of the work-stealing scheduler: concurrent
-//! interactive callers, fuzzed submit/call/drain/`set_exec` interleavings,
+//! interactive callers, fuzzed submit/call/drain interleavings,
 //! and shutdown landing mid-steal. The invariants are always the same —
 //! no completion is ever lost or duplicated, ids recover submission order,
 //! and every result is bit-exact against a sequential replay on a
@@ -11,19 +11,15 @@ use rand::{Rng, SeedableRng};
 use sne::batch::{BatchRunner, EnginePool, Scheduler};
 use sne::compile::CompiledNetwork;
 use sne::session::InferenceSession;
-use sne::{ExecStrategy, RuntimeArtifact};
+use sne::RuntimeArtifact;
 use sne_event::EventStream;
 use sne_model::topology::Topology;
 use sne_model::Shape;
-use sne_sim::SneConfig;
+use sne_sim::{ExecStrategy, SneConfig};
 use std::sync::Arc;
 
-const STRATEGIES: [ExecStrategy; 4] = [
-    ExecStrategy::Sequential,
-    ExecStrategy::Threaded(2),
-    ExecStrategy::Threaded(3),
-    ExecStrategy::Threaded(8),
-];
+/// Scheduler worker counts the runner fuzz draws from.
+const WORKERS: [usize; 4] = [1, 2, 3, 8];
 
 fn compiled(seed: u64) -> CompiledNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -49,9 +45,7 @@ fn seeded_call_storm_matches_dedicated_sessions() {
         let artifact = Arc::new(
             RuntimeArtifact::new(Arc::clone(&network), SneConfig::with_slices(2)).unwrap(),
         );
-        let pool = Arc::new(
-            EnginePool::new(Arc::clone(&artifact), lanes, ExecStrategy::Sequential).unwrap(),
-        );
+        let pool = Arc::new(EnginePool::new(Arc::clone(&artifact), lanes).unwrap());
         let scheduler = Arc::new(Scheduler::new(Arc::clone(&pool), lanes));
         let threads = 4usize;
         let per_thread_calls = 3usize;
@@ -119,7 +113,7 @@ fn seeded_call_storm_matches_dedicated_sessions() {
 }
 
 /// Fuzzes the `BatchRunner` owner API: random interleavings of `submit`
-/// (single and bursts), interactive `call`, `set_exec` swaps and `drain`,
+/// (single and bursts), interactive `call` and `drain`,
 /// model-checked against precomputed per-stream expectations. Bursts
 /// followed by an immediate drain make the drain race in-flight steals.
 #[test]
@@ -133,14 +127,18 @@ fn seeded_runner_op_fuzz_replays_sequentially() {
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(900 + seed);
         let lanes = rng.gen_range(1..=3);
-        let exec = STRATEGIES[rng.gen_range(0..STRATEGIES.len())];
-        let mut runner =
-            BatchRunner::with_exec(Arc::clone(&network), SneConfig::with_slices(2), lanes, exec)
-                .unwrap();
+        let workers = WORKERS[rng.gen_range(0..WORKERS.len())];
+        let mut runner = BatchRunner::with_workers(
+            Arc::clone(&network),
+            SneConfig::with_slices(2),
+            lanes,
+            workers,
+        )
+        .unwrap();
         let mut pending: Vec<usize> = Vec::new();
         let mut last_id: Option<u64> = None;
         for _ in 0..20 {
-            match rng.gen_range(0..10) {
+            match rng.gen_range(0..8) {
                 // Submit one random stream.
                 0..=3 => {
                     let index = rng.gen_range(0..streams.len());
@@ -165,11 +163,6 @@ fn seeded_runner_op_fuzz_replays_sequentially() {
                     let index = rng.gen_range(0..streams.len());
                     let record = runner.scheduler().call(streams[index].clone());
                     assert_eq!(record.result.as_ref().unwrap(), &expected[index]);
-                }
-                // Swap the scheduler under the backlog.
-                7..=8 => {
-                    let exec = STRATEGIES[rng.gen_range(0..STRATEGIES.len())];
-                    runner.set_exec(exec);
                 }
                 // Drain: exactly the pending set, in submission order.
                 _ => {
