@@ -1,16 +1,11 @@
 //! The end-to-end accelerator runner.
 
-use std::sync::Arc;
-
-use sne_energy::{EnergyModel, PerformanceModel};
 use sne_event::EventStream;
-use sne_sim::{Engine, LayerMapping, LayerPlan, SneConfig};
+use sne_sim::SneConfig;
 
-use crate::compile::{CompiledNetwork, Stage};
+use crate::compile::CompiledNetwork;
 use crate::run::InferenceResult;
-use crate::session::{
-    check_geometry, classify, pipeline_engines, pipeline_shares, run_stages, wavefront_makespan,
-};
+use crate::session::{check_geometry, InferenceSession, PipelinedSession};
 use crate::SneError;
 
 /// An SNE instance ready to run compiled networks.
@@ -19,16 +14,16 @@ use crate::SneError;
 /// paper §III-D.5: each accelerated layer executes on the engine, its output
 /// event stream is written back to memory, the host folds any pooling stage
 /// into the stream, and the next layer reads it back.
+///
+/// It is a thin wrapper over the session runtime: [`SneAccelerator::run`]
+/// goes through an [`InferenceSession`] kept for the most recent network,
+/// so repeated runs against an equal network reuse its engine, compiled
+/// plans and state buffers, and any change to the network (weights,
+/// geometry or a neuron parameter) builds a fresh session.
 #[derive(Debug)]
 pub struct SneAccelerator {
-    engine: Engine,
-    energy: EnergyModel,
-    performance: PerformanceModel,
-    /// Sparse-datapath plan set of the most recent network, reused across
-    /// calls: repeated `run`s against the same network skip the
-    /// configure-time plan compilation (the weight digest is re-verified per
-    /// call, so an edited network can never run on a stale plan).
-    cached_plans: Option<Arc<Vec<LayerPlan>>>,
+    config: SneConfig,
+    session: Option<InferenceSession>,
 }
 
 impl SneAccelerator {
@@ -36,115 +31,49 @@ impl SneAccelerator {
     #[must_use]
     pub fn new(config: SneConfig) -> Self {
         Self {
-            engine: Engine::new(config),
-            energy: EnergyModel::new(),
-            performance: PerformanceModel::new(),
-            cached_plans: None,
+            config,
+            session: None,
         }
-    }
-
-    /// Returns the sparse-datapath plans for `network`, reusing the cached
-    /// set when it verifiably matches (geometry **and** weight digests of
-    /// every accelerated layer) and recompiling otherwise.
-    fn plans_for(&mut self, network: &CompiledNetwork) -> Arc<Vec<LayerPlan>> {
-        let mappings: Vec<&LayerMapping> =
-            network.stages().iter().filter_map(Stage::mapping).collect();
-        if let Some(plans) = &self.cached_plans {
-            if plans.len() == mappings.len()
-                && plans.iter().zip(&mappings).all(|(p, m)| p.matches(m))
-            {
-                return Arc::clone(plans);
-            }
-        }
-        let plans = Arc::new(network.build_plans());
-        self.cached_plans = Some(Arc::clone(&plans));
-        plans
-    }
-
-    /// Whether a plan set is currently cached (for tests and diagnostics).
-    #[must_use]
-    pub fn has_cached_plans(&self) -> bool {
-        self.cached_plans.is_some()
     }
 
     /// The engine configuration.
     #[must_use]
     pub fn config(&self) -> &SneConfig {
-        self.engine.config()
+        &self.config
     }
 
-    /// The underlying cycle-level engine (e.g. to enable tracing).
-    #[must_use]
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// Runs one inference over an input event stream.
-    ///
-    /// Every call executes the compiled stages on this accelerator's engine,
-    /// starting from resting neuron state. For repeated inference on the same
-    /// network prefer an [`crate::session::InferenceSession`], which is what
-    /// this method routes through — the session additionally keeps the
-    /// per-layer state buffers alive across calls and supports streaming.
+    /// Runs one inference over an input event stream, starting from resting
+    /// neuron state. For repeated inference on one network, or for
+    /// streaming, hold an [`InferenceSession`] directly.
     ///
     /// # Errors
     ///
     /// Returns [`SneError::GeometryMismatch`] if the stream does not match
-    /// the network input, and propagates simulator errors.
+    /// the network input, [`SneError::EmptyNetwork`] for a network without
+    /// an accelerated stage, and propagates configuration and simulator
+    /// errors.
     pub fn run(
         &mut self,
         network: &CompiledNetwork,
         input: &EventStream,
     ) -> Result<InferenceResult, SneError> {
         check_geometry(network, input)?;
-        if network.accelerated_layers() == 0 {
-            return Err(SneError::EmptyNetwork);
-        }
-
-        let config = *self.engine.config();
-        // Configure-time work is cached across calls: the sparse-datapath
-        // tables are compiled on the first run of a network and reused
-        // (digest-verified) until a different network shows up.
-        let plans = self.plans_for(network);
-        let outcome = run_stages(
-            std::slice::from_mut(&mut self.engine),
-            network,
-            input,
-            Some(&plans),
-            None,
-            false,
-        )?;
-
-        // The final stream's neurons are the classes; count spikes per class.
-        let (predicted_class, counts) =
-            classify(&outcome.stream, usize::from(network.output_classes()));
-        let energy = self.energy.report(&config, &outcome.total);
-        let inference_time_ms = self.performance.inference_time_ms(&config, &outcome.total);
-        let inference_rate = self.performance.inference_rate(&config, &outcome.total);
-        let mean_activity = outcome.mean_activity();
-
-        Ok(InferenceResult {
-            predicted_class,
-            output_spike_counts: counts,
-            stats: outcome.total,
-            layers: outcome.layers,
-            energy,
-            inference_time_ms,
-            inference_rate,
-            mean_activity,
-        })
+        let session = match self.session.take() {
+            Some(session) if session.network() == network => session,
+            _ => InferenceSession::new(network.clone(), self.config)?,
+        };
+        self.session.insert(session).infer(input)
     }
-}
 
-impl SneAccelerator {
     /// Runs one inference in the **pipelined layer-per-slice mode** of paper
-    /// §III-D.5: the engine's slices are partitioned among the accelerated
-    /// layers, every layer must fit its allocation in a single pass, output
-    /// events flow to the next layer through the C-XBAR instead of external
-    /// memory, and all layers execute concurrently. Functionally the result
-    /// is identical to [`SneAccelerator::run`]; the timing differs — the
-    /// inference duration is the *makespan* (the slowest layer) rather than
-    /// the sum of the layer runtimes.
+    /// §III-D.5 through a [`PipelinedSession`]: the engine's slices are
+    /// partitioned among the accelerated layers, every layer must fit its
+    /// allocation in a single pass, output events flow to the next layer
+    /// through the C-XBAR instead of external memory, and all layers execute
+    /// concurrently. Functionally the result is identical to
+    /// [`SneAccelerator::run`]; the timing differs — the inference duration
+    /// is the *makespan* of the overlapped schedule rather than the sum of
+    /// the layer runtimes.
     ///
     /// # Errors
     ///
@@ -157,53 +86,21 @@ impl SneAccelerator {
         input: &EventStream,
     ) -> Result<InferenceResult, SneError> {
         check_geometry(network, input)?;
-        let config = *self.engine.config();
-        // Distribute the slices: every layer gets an equal share, the first
-        // `num_slices % layers` layers get one extra slice. The one-shot
-        // entry point discards neuron state at the end, so run stateless;
-        // `PipelinedSession` is the persistent variant.
-        let shares = pipeline_shares(network, &config)?;
-        let mut engines = pipeline_engines(&config, &shares);
-        let plans = self.plans_for(network);
-        let outcome = run_stages(&mut engines, network, input, Some(&plans), None, false)?;
-
-        // In the pipelined mode the layers overlap in time: the inference
-        // duration is the makespan of the wavefront across the real
-        // per-timestep layer schedules — layer `l` starts timestep `t` once
-        // it finished `t - 1` and layer `l - 1` delivered `t` over the
-        // C-XBAR.
-        let mut pipeline_stats = outcome.total;
-        pipeline_stats.total_cycles = wavefront_makespan(&outcome.profiles);
-
-        let (predicted_class, counts) =
-            classify(&outcome.stream, usize::from(network.output_classes()));
-        let energy = self.energy.report(&config, &pipeline_stats);
-        let inference_time_ms = self.performance.inference_time_ms(&config, &pipeline_stats);
-        let inference_rate = self.performance.inference_rate(&config, &pipeline_stats);
-        let mean_activity = outcome.mean_activity();
-
-        Ok(InferenceResult {
-            predicted_class,
-            output_spike_counts: counts,
-            stats: pipeline_stats,
-            layers: outcome.layers,
-            energy,
-            inference_time_ms,
-            inference_rate,
-            mean_activity,
-        })
+        PipelinedSession::new(network.clone(), self.config)?.infer(input)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::CompiledNetwork;
+    use crate::compile::Stage;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sne_event::Event;
     use sne_model::topology::Topology;
     use sne_model::Shape;
+    use sne_sim::LayerMapping;
+    use std::sync::Arc;
 
     fn compiled() -> CompiledNetwork {
         let mut rng = StdRng::seed_from_u64(11);
@@ -264,31 +161,52 @@ mod tests {
     #[test]
     fn plan_cache_is_reused_and_invalidated_per_network() {
         let mut accelerator = SneAccelerator::new(SneConfig::with_slices(2));
-        assert!(!accelerator.has_cached_plans());
+        assert!(accelerator.session.is_none());
         let network = compiled();
         let first = accelerator.run(&network, &input_stream(3)).unwrap();
-        assert!(accelerator.has_cached_plans());
-        let cached = Arc::clone(accelerator.cached_plans.as_ref().unwrap());
-        // Same network: the cached set is reused pointer-identically and the
-        // result is unchanged.
-        let again = accelerator.run(&network, &input_stream(3)).unwrap();
+        let cached = Arc::clone(accelerator.session.as_ref().unwrap().plans());
+        // An equal network reuses the session (and its plans) pointer-
+        // identically, and the result is unchanged.
+        let again = accelerator.run(&network.clone(), &input_stream(3)).unwrap();
         assert_eq!(first, again);
         assert!(Arc::ptr_eq(
             &cached,
-            accelerator.cached_plans.as_ref().unwrap()
+            accelerator.session.as_ref().unwrap().plans()
         ));
-        // A different network (same topology, different weights) must miss
-        // the cache and recompile — never run on a stale plan.
+        // A different network must never run on the cached session: other
+        // weights, or the same weights with another firing threshold (which
+        // the plans' weight digest does not see).
         let mut rng = StdRng::seed_from_u64(77);
-        let other =
+        let other_weights =
             CompiledNetwork::random(&Topology::tiny(Shape::new(2, 8, 8), 4, 3), &mut rng).unwrap();
-        let mut dedicated = SneAccelerator::new(SneConfig::with_slices(2));
-        let expected = dedicated.run(&other, &input_stream(3)).unwrap();
-        assert_eq!(accelerator.run(&other, &input_stream(3)).unwrap(), expected);
-        assert!(!Arc::ptr_eq(
-            &cached,
-            accelerator.cached_plans.as_ref().unwrap()
-        ));
+        let mut stages = network.stages().to_vec();
+        for stage in &mut stages {
+            if let Stage::Accelerated {
+                mapping: LayerMapping::Conv { params, .. } | LayerMapping::Dense { params, .. },
+                ..
+            } = stage
+            {
+                params.threshold = 1;
+            }
+        }
+        let other_threshold = CompiledNetwork::from_parts(
+            network.input_shape(),
+            network.output_classes(),
+            stages,
+            network.scales().to_vec(),
+        )
+        .unwrap();
+        for other in [other_weights, other_threshold] {
+            let expected = SneAccelerator::new(SneConfig::with_slices(2))
+                .run(&other, &input_stream(3))
+                .unwrap();
+            assert_ne!(expected, first);
+            assert_eq!(accelerator.run(&other, &input_stream(3)).unwrap(), expected);
+            assert!(!Arc::ptr_eq(
+                &cached,
+                accelerator.session.as_ref().unwrap().plans()
+            ));
+        }
     }
 
     #[test]
@@ -305,7 +223,9 @@ mod tests {
     fn config_accessors_expose_engine() {
         let mut accelerator = SneAccelerator::new(SneConfig::with_slices(4));
         assert_eq!(accelerator.config().num_slices, 4);
-        accelerator.engine_mut().enable_trace(16);
+        accelerator.run(&compiled(), &input_stream(2)).unwrap();
+        let session = accelerator.session.as_ref().unwrap();
+        assert_eq!(session.config(), accelerator.config());
     }
 
     #[test]

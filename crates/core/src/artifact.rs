@@ -14,7 +14,7 @@
 //!   persistent neuron state plus the streaming cursor and result
 //!   accumulators. It is cheap (a few state buffers), carries no engine, and
 //!   can be parked in a session table between requests — which is what lets
-//!   a pooled engine pick up *any* client's next chunk.
+//!   any engine of the fleet pick up *any* client's next chunk.
 //!
 //! [`crate::session::InferenceSession`] is the convenience composite of one
 //! artifact + one engine + one client; [`crate::batch::EnginePool`] shares
@@ -26,9 +26,7 @@ use std::sync::Arc;
 use sne_energy::{EnergyModel, PerformanceModel};
 use sne_event::stream::Geometry;
 use sne_event::{Event, EventStream};
-use sne_sim::{
-    CycleStats, Engine, ExecStrategy, LayerMapping, LayerPlan, LayerState, SimError, SneConfig,
-};
+use sne_sim::{CycleStats, Engine, ExecStrategy, LayerPlan, LayerState, SneConfig};
 
 use crate::compile::{CompiledNetwork, Stage};
 use crate::run::{InferenceResult, LayerExecution};
@@ -51,9 +49,8 @@ pub(crate) struct LayerTotals {
 ///
 /// Build it once ([`RuntimeArtifact::new`]), wrap it in an [`Arc`], and any
 /// number of engines/clients can execute against it concurrently. The plans
-/// are verified against the network's accelerated layers (full weight
-/// digest) at construction; the engine re-checks the O(1) geometry digest on
-/// every run.
+/// are compiled from the network's accelerated layers at construction; the
+/// engine re-checks the O(1) geometry digest on every run.
 #[derive(Debug, Clone)]
 pub struct RuntimeArtifact {
     network: Arc<CompiledNetwork>,
@@ -77,46 +74,13 @@ impl RuntimeArtifact {
         config: SneConfig,
     ) -> Result<Self, SneError> {
         let network = network.into();
-        let plans = Arc::new(network.build_plans());
-        Self::with_shared_plans(network, config, plans)
-    }
-
-    /// Builds the artifact around an already-compiled plan set (e.g. one
-    /// recovered from an [`crate::SneAccelerator`] cache). The plans must
-    /// have been built from this `network`, one per accelerated layer —
-    /// verified here with the full weight digest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SneError::Sim`] if `plans` was not compiled from this
-    /// network's accelerated layers, plus the same errors as
-    /// [`RuntimeArtifact::new`].
-    pub fn with_shared_plans(
-        network: impl Into<Arc<CompiledNetwork>>,
-        config: SneConfig,
-        plans: Arc<Vec<LayerPlan>>,
-    ) -> Result<Self, SneError> {
-        let network = network.into();
         config.validate()?;
         if network.accelerated_layers() == 0 {
             return Err(SneError::EmptyNetwork);
         }
-        let mappings: Vec<&LayerMapping> =
-            network.stages().iter().filter_map(Stage::mapping).collect();
-        if plans.len() != mappings.len()
-            || plans
-                .iter()
-                .zip(&mappings)
-                .any(|(plan, mapping)| !plan.matches(mapping))
-        {
-            return Err(SneError::Sim(SimError::InvalidConfig {
-                name: "layer plans",
-                reason: "plans were not compiled from this network's accelerated layers".to_owned(),
-            }));
-        }
         Ok(Self {
+            plans: Arc::new(network.build_plans()),
             network,
-            plans,
             config,
             energy: EnergyModel::new(),
             performance: PerformanceModel::new(),
@@ -148,9 +112,9 @@ impl RuntimeArtifact {
     }
 
     /// Allocates one engine configured for this artifact. Engines are the
-    /// expensive, checkout-able resource; create as many as the fleet has
-    /// lanes and reuse them across requests. Engines always run
-    /// sequentially; the strategy argument is ignored.
+    /// expensive resource; create one per lane of the fleet and reuse it
+    /// across requests. Engines always run sequentially; the strategy
+    /// argument is ignored.
     #[must_use]
     pub fn new_engine(&self, _exec: ExecStrategy) -> Engine {
         Engine::new(self.config)
@@ -213,7 +177,7 @@ impl RuntimeArtifact {
             &self.network,
             chunk,
             plans,
-            Some(&mut client.states),
+            &mut client.states,
             resume,
         )?;
 
@@ -480,26 +444,14 @@ mod tests {
     }
 
     #[test]
-    fn artifact_rejects_empty_networks_and_foreign_plans() {
-        let network = compiled();
+    fn artifact_rejects_an_invalid_config() {
         assert!(matches!(
             RuntimeArtifact::new(
-                network.clone(),
+                compiled(),
                 SneConfig {
                     num_slices: 0,
                     ..SneConfig::default()
                 }
-            ),
-            Err(SneError::Sim(_))
-        ));
-        let mut rng = StdRng::seed_from_u64(99);
-        let other =
-            CompiledNetwork::random(&Topology::tiny(Shape::new(2, 8, 8), 4, 3), &mut rng).unwrap();
-        assert!(matches!(
-            RuntimeArtifact::with_shared_plans(
-                network,
-                SneConfig::with_slices(2),
-                Arc::new(other.build_plans()),
             ),
             Err(SneError::Sim(_))
         ));

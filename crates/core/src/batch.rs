@@ -7,16 +7,15 @@
 //! a pool of identical engines fed from a shared queue. The runtime mirrors
 //! that split in three tiers:
 //!
-//! * [`EnginePool`] holds N warm engines (plus a scratch [`ClientState`]
-//!   each) built from one shared [`RuntimeArtifact`]. Engines can be checked
-//!   out ad hoc, but under a [`Scheduler`] each worker owns one warm engine
-//!   for its whole lifetime — no per-request checkout churn.
+//! * [`EnginePool`] names the fleet: one shared [`RuntimeArtifact`] and a
+//!   lane count.
 //! * [`Scheduler`] is a **work-stealing** run-queue fabric (std
-//!   `Mutex`/`Condvar`/`mpsc`, no new dependencies): every worker owns one
-//!   engine and a local double-ended queue, submissions go to the affine or
-//!   least-loaded worker, and an idle worker steals from the tail of the
-//!   most-loaded one — so one hot queue can never strand the rest of the
-//!   fleet idle (the `[0, 0, 0, 0.98]` lane-utilization collapse of the old
+//!   `Mutex`/`Condvar`/`mpsc`, no new dependencies): worker `i` owns lane
+//!   `i`'s engine (plus a scratch [`ClientState`]), built from the artifact
+//!   when the scheduler starts, and serves a local double-ended queue;
+//!   submissions go to the affine or least-loaded worker, and an idle
+//!   worker steals from the tail of the most-loaded one — so one hot queue
+//!   can never strand the rest of the fleet idle (the `[0, 0, 0, 0.98]` lane-utilization collapse of the old
 //!   single-FIFO design). Two priority lanes separate interactive round
 //!   trips ([`Scheduler::call`] / [`Scheduler::call_push`]) from bulk
 //!   [`Scheduler::submit`] batches, with a bypass budget that keeps the bulk
@@ -99,73 +98,20 @@ impl LatencySummary {
     }
 }
 
-/// One warm engine of the fleet, bundled with the shared artifact and a
-/// reusable scratch [`ClientState`] for whole-sample requests. Obtained from
-/// [`EnginePool::checkout`] and returned with [`EnginePool::checkin`].
-#[derive(Debug)]
-pub struct PooledEngine {
-    lane: usize,
-    artifact: Arc<RuntimeArtifact>,
-    engine: Engine,
-    scratch: ClientState,
-}
-
-impl PooledEngine {
-    /// Stable index of this engine within its pool (`0..lanes`).
-    #[must_use]
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// The shared artifact this engine executes against.
-    #[must_use]
-    pub fn artifact(&self) -> &Arc<RuntimeArtifact> {
-        &self.artifact
-    }
-
-    /// Runs one whole-sample inference on this engine's scratch client
-    /// (reset first, so results never depend on which engine served which
-    /// request).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`crate::session::InferenceSession::infer`].
-    pub fn infer(&mut self, input: &EventStream) -> Result<InferenceResult, SneError> {
-        self.artifact
-            .infer(&mut self.engine, &mut self.scratch, input, true)
-    }
-
-    /// Streams one chunk of an external client's feed through this engine:
-    /// the neuron state lives in the caller's [`ClientState`], so the
-    /// client's next chunk may be served by any other engine of the pool.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`crate::session::InferenceSession::push`].
-    pub fn push(
-        &mut self,
-        client: &mut ClientState,
-        chunk: &EventStream,
-    ) -> Result<ChunkOutput, SneError> {
-        self.artifact.push(&mut self.engine, client, chunk, true)
-    }
-}
-
-/// A fixed fleet of warm engines sharing one [`RuntimeArtifact`]: check one
-/// out per request, run, check it back in. [`EnginePool::checkout`] blocks
-/// until an engine is free, which is what turns N engines plus any number of
-/// request threads into a well-formed queueing system.
+/// A fleet of identical SNE instances: one shared [`RuntimeArtifact`] plus
+/// the number of engines (lanes) it runs on. The pool holds no engines
+/// itself — [`Scheduler::new`] builds one engine and scratch [`ClientState`]
+/// per worker from the artifact, and each worker drops its pair when it
+/// exits, the way each instance of a multi-instance accelerator is
+/// configured once and then fed from its own queue.
 #[derive(Debug)]
 pub struct EnginePool {
     artifact: Arc<RuntimeArtifact>,
-    idle: Mutex<Vec<PooledEngine>>,
-    available: Condvar,
     lanes: usize,
 }
 
 impl EnginePool {
-    /// Builds `lanes` engines (and scratch clients) against `artifact`, all
-    /// allocated here, once.
+    /// A fleet of `lanes` engines executing `artifact`.
     ///
     /// # Errors
     ///
@@ -174,20 +120,7 @@ impl EnginePool {
         if lanes == 0 {
             return Err(SneError::EmptyBatch);
         }
-        let idle = (0..lanes)
-            .map(|lane| PooledEngine {
-                lane,
-                artifact: Arc::clone(&artifact),
-                engine: artifact.new_engine(ExecStrategy::Sequential),
-                scratch: artifact.new_client(),
-            })
-            .collect();
-        Ok(Self {
-            artifact,
-            idle: Mutex::new(idle),
-            available: Condvar::new(),
-            lanes,
-        })
+        Ok(Self { artifact, lanes })
     }
 
     /// Convenience: compiles the artifact and builds the pool in one step.
@@ -215,44 +148,20 @@ impl EnginePool {
         self.lanes
     }
 
-    /// Engines currently idle (not checked out).
-    #[must_use]
-    pub fn idle_lanes(&self) -> usize {
-        self.idle.lock().expect("engine pool poisoned").len()
-    }
-
     /// The shared artifact the fleet executes against.
     #[must_use]
     pub fn artifact(&self) -> &Arc<RuntimeArtifact> {
         &self.artifact
     }
 
-    /// Checks an engine out, blocking until one is free.
-    #[must_use]
-    pub fn checkout(&self) -> PooledEngine {
-        let mut idle = self.idle.lock().expect("engine pool poisoned");
-        loop {
-            if let Some(engine) = idle.pop() {
-                return engine;
-            }
-            idle = self.available.wait(idle).expect("engine pool poisoned");
-        }
-    }
-
-    /// Checks an engine out if one is free right now.
-    #[must_use]
-    pub fn try_checkout(&self) -> Option<PooledEngine> {
-        self.idle.lock().expect("engine pool poisoned").pop()
-    }
-
-    /// Returns an engine to the pool and wakes one waiter.
-    pub fn checkin(&self, engine: PooledEngine) {
-        debug_assert!(
-            Arc::ptr_eq(&engine.artifact, &self.artifact),
-            "engine returned to a foreign pool"
-        );
-        self.idle.lock().expect("engine pool poisoned").push(engine);
-        self.available.notify_one();
+    /// Allocates one engine plus the scratch client its whole-sample
+    /// requests run on (reset first by [`RuntimeArtifact::infer`], so a
+    /// result never depends on which engine served it).
+    fn new_instance(&self) -> (Engine, ClientState) {
+        (
+            self.artifact.new_engine(ExecStrategy::Sequential),
+            self.artifact.new_client(),
+        )
     }
 }
 
@@ -266,8 +175,8 @@ pub struct RequestRecord {
     pub result: Result<InferenceResult, SneError>,
     /// Pool lane that served the request.
     pub lane: usize,
-    /// Host time from submission until service started (queue + engine
-    /// checkout wait), in µs.
+    /// Host time from submission until service started (queue wait), in
+    /// µs.
     pub queue_us: f64,
     /// Host time the engine spent on the request, in µs.
     pub service_us: f64,
@@ -430,55 +339,31 @@ struct Job {
     kind: JobKind,
 }
 
-/// How a completed inference's [`RequestRecord`] travels back to its
-/// submitter: over a channel (the synchronous [`Scheduler::submit`] /
-/// [`Scheduler::call`] paths block on the receiver) or into a callback run
-/// on the worker thread right after completion (the nonblocking
-/// [`Scheduler::call_async`] path an event-driven server uses). A callback
-/// must be quick and must never block on the scheduler itself — it runs
-/// inline in the worker loop, ahead of the worker's next job.
-enum InferReply {
-    Channel(mpsc::Sender<RequestRecord>),
-    Callback(Box<dyn FnOnce(RequestRecord) + Send>),
-}
+/// Runs on the serving worker thread right after a job completes, with the
+/// job's completion record. The blocking entry points wrap a channel send in
+/// one; [`Scheduler::call_async`] / [`Scheduler::call_push_async`] take the
+/// caller's. It must be quick and must never block on the scheduler itself —
+/// it runs inline in the worker loop, ahead of the worker's next job.
+type OnDone<R> = Box<dyn FnOnce(R) + Send>;
 
-impl InferReply {
-    fn complete(self, record: RequestRecord) {
-        match self {
-            // A dropped receiver (caller gave up) is not an error.
-            Self::Channel(tx) => drop(tx.send(record)),
-            Self::Callback(f) => f(record),
-        }
-    }
-}
-
-/// [`InferReply`], for streaming pushes.
-enum PushReply {
-    Channel(mpsc::Sender<PushRecord>),
-    Callback(Box<dyn FnOnce(PushRecord) + Send>),
-}
-
-impl PushReply {
-    fn complete(self, record: PushRecord) {
-        match self {
-            Self::Channel(tx) => drop(tx.send(record)),
-            Self::Callback(f) => f(record),
-        }
-    }
+/// The completion callback of the blocking entry points: sends the record
+/// down `tx`. A dropped receiver (the caller gave up) is not an error.
+fn send_to<R: Send + 'static>(tx: mpsc::Sender<R>) -> impl FnOnce(R) + Send + 'static {
+    move |record| drop(tx.send(record))
 }
 
 enum JobKind {
     /// Whole-sample inference on the serving engine's scratch client.
     Infer {
         stream: Arc<EventStream>,
-        reply: InferReply,
+        on_done: OnDone<RequestRecord>,
     },
     /// One chunk of an external client's feed; the [`ClientState`] travels
     /// with the job and comes back in the [`PushRecord`].
     Push {
         client: Box<ClientState>,
         chunk: Arc<EventStream>,
-        reply: PushReply,
+        on_done: OnDone<PushRecord>,
     },
 }
 
@@ -623,22 +508,20 @@ struct SchedShared {
     affinity_hits: AtomicU64,
     affinity_misses: AtomicU64,
     coalesced: AtomicU64,
-    /// `worker_lanes[i]` is the engine lane worker `i` owns.
-    worker_lanes: Vec<usize>,
 }
 
-/// A work-stealing scheduler over an [`EnginePool`]: every worker owns one
-/// warm engine and a local two-lane run queue; requests arrive at any time
-/// from any thread ([`Scheduler::submit`] for bulk work, [`Scheduler::call`]
-/// / [`Scheduler::call_push`] for interactive round trips) and are placed on
-/// the affine or least-loaded worker. An idle worker steals from the tail of
+/// A work-stealing scheduler over an [`EnginePool`]: worker `i` serves lane
+/// `i` with its own engine and a local two-lane run queue;
+/// requests arrive at any time from any thread ([`Scheduler::submit`] for
+/// bulk work, [`Scheduler::call`] / [`Scheduler::call_push`] for interactive
+/// round trips) and are placed on the affine or least-loaded worker. An idle worker steals from the tail of
 /// the most-loaded queue, so no single hot queue can strand the rest of the
 /// fleet — and because every request is engine-agnostic, a stolen request's
 /// result is bit-identical to an affine one's.
 ///
 /// Shutting the scheduler down ([`Scheduler::shutdown`] or drop) is
 /// graceful: already-queued work is finished (local or stolen) before the
-/// workers check their engines back in and exit.
+/// workers drop their engines and exit.
 #[derive(Debug)]
 pub struct Scheduler {
     shared: Arc<SchedShared>,
@@ -652,19 +535,13 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Starts `workers` worker threads over `pool`, each owning one engine
-    /// checked out for the worker's lifetime. `workers` is clamped to the
-    /// pool size (an engine-less worker could serve nothing) and to at
-    /// least one. Blocks until `workers` engines are free, so build the
-    /// scheduler over a pool whose engines are not checked out elsewhere.
+    /// Builds one engine (plus a scratch client) per worker from the pool's
+    /// artifact and starts `workers` worker threads; worker `i` serves lane
+    /// `i` and owns its engine for its lifetime. `workers` is clamped to the
+    /// pool size and to at least one.
     #[must_use]
     pub fn new(pool: Arc<EnginePool>, workers: usize) -> Self {
         let workers = workers.clamp(1, pool.lanes());
-        let mut engines: Vec<PooledEngine> = (0..workers).map(|_| pool.checkout()).collect();
-        // Deterministic worker→lane mapping (lowest lanes first), so tests
-        // and telemetry can reason about placement.
-        engines.sort_by_key(PooledEngine::lane);
-        let worker_lanes: Vec<usize> = engines.iter().map(PooledEngine::lane).collect();
         let shared = Arc::new(SchedShared {
             pool,
             state: Mutex::new(SchedState {
@@ -679,14 +556,12 @@ impl Scheduler {
             affinity_hits: AtomicU64::new(0),
             affinity_misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            worker_lanes,
         });
-        let workers = engines
-            .into_iter()
-            .enumerate()
-            .map(|(index, engine)| {
+        let workers = (0..workers)
+            .map(|lane| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, index, engine))
+                let (engine, scratch) = shared.pool.new_instance();
+                std::thread::spawn(move || worker_loop(&shared, lane, engine, scratch))
             })
             .collect();
         let (results_tx, results_rx) = mpsc::channel();
@@ -699,7 +574,8 @@ impl Scheduler {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads; worker `i` serves lane `i`, so the valid
+    /// affinity hints are `0..workers()`.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -710,20 +586,6 @@ impl Scheduler {
     #[must_use]
     pub fn outstanding(&self) -> usize {
         self.outstanding
-    }
-
-    /// The engine pool behind the scheduler.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<EnginePool> {
-        &self.shared.pool
-    }
-
-    /// Engine lane owned by each worker (`worker_lanes()[i]` is worker
-    /// `i`'s lane): the valid affinity-hint values, and the lanes request
-    /// records attribute service time to.
-    #[must_use]
-    pub fn worker_lanes(&self) -> &[usize] {
-        &self.shared.worker_lanes
     }
 
     /// Requests queued but not yet picked up by a worker, over all lanes.
@@ -757,7 +619,7 @@ impl Scheduler {
             let mut state = self.shared.state.lock().expect("scheduler poisoned");
             assert!(!state.closed, "submit on a shut-down scheduler");
             let target = affinity
-                .and_then(|lane| self.shared.worker_lanes.iter().position(|&l| l == lane))
+                .filter(|&lane| lane < state.queues.len())
                 .unwrap_or_else(|| state.least_loaded());
             state.queues[target].push(
                 Job {
@@ -782,7 +644,7 @@ impl Scheduler {
             None,
             JobKind::Infer {
                 stream: stream.into(),
-                reply: InferReply::Channel(self.results_tx.clone()),
+                on_done: Box::new(send_to(self.results_tx.clone())),
             },
         );
         self.outstanding += 1;
@@ -823,14 +685,7 @@ impl Scheduler {
         affinity: Option<usize>,
     ) -> RequestRecord {
         let (tx, rx) = mpsc::channel();
-        let _ = self.enqueue(
-            Priority::Interactive,
-            affinity,
-            JobKind::Infer {
-                stream: stream.into(),
-                reply: InferReply::Channel(tx),
-            },
-        );
+        let _ = self.call_async(stream, affinity, send_to(tx));
         rx.recv().expect("scheduler worker disconnected")
     }
 
@@ -852,7 +707,7 @@ impl Scheduler {
             affinity,
             JobKind::Infer {
                 stream: stream.into(),
-                reply: InferReply::Callback(Box::new(on_done)),
+                on_done: Box::new(on_done),
             },
         )
     }
@@ -871,15 +726,7 @@ impl Scheduler {
         affinity: Option<usize>,
     ) -> PushRecord {
         let (tx, rx) = mpsc::channel();
-        let _ = self.enqueue(
-            Priority::Interactive,
-            affinity,
-            JobKind::Push {
-                client: Box::new(client),
-                chunk: chunk.into(),
-                reply: PushReply::Channel(tx),
-            },
-        );
+        let _ = self.call_push_async(client, chunk, affinity, send_to(tx));
         rx.recv().expect("scheduler worker disconnected")
     }
 
@@ -900,7 +747,7 @@ impl Scheduler {
             JobKind::Push {
                 client: Box::new(client),
                 chunk: chunk.into(),
-                reply: PushReply::Callback(Box::new(on_done)),
+                on_done: Box::new(on_done),
             },
         )
     }
@@ -931,11 +778,11 @@ impl Drop for Scheduler {
     }
 }
 
-/// One worker of the fleet: serve the local queue (interactive ahead of
-/// bulk, bounded bypass), steal from the most-loaded peer when idle, exit —
-/// returning the owned engine — only once the scheduler is closed and every
-/// queue is empty (graceful drain-first shutdown).
-fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
+/// One worker of the fleet: serve the local queue on the lane's own engine
+/// (interactive ahead of bulk, bounded bypass), steal from the most-loaded
+/// peer when idle, exit — dropping the engine — only once the scheduler is
+/// closed and every queue is empty (graceful drain-first shutdown).
+fn worker_loop(shared: &SchedShared, index: usize, mut engine: Engine, mut scratch: ClientState) {
     loop {
         let mut stolen = false;
         let mut run: Vec<Job> = Vec::new();
@@ -991,7 +838,6 @@ fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
             }
         };
         if !drained {
-            shared.pool.checkin(engine);
             return;
         }
         if stolen {
@@ -1003,17 +849,23 @@ fn worker_loop(shared: &SchedShared, index: usize, mut engine: PooledEngine) {
                 .fetch_add(run.len() as u64 - 1, Ordering::Relaxed);
         }
         for job in run {
-            serve_job(shared, &mut engine, job);
+            serve_job(shared, index, &mut engine, &mut scratch, job);
         }
     }
 }
 
-/// Serves one job on the worker's owned engine: affinity accounting, queue
-/// and service timing, inference or push, and the reply (channel send or
-/// inline callback). Latency bookkeeping is per job even inside a coalesced
-/// run, so a rider's record still shows its own queue wait.
-fn serve_job(shared: &SchedShared, engine: &mut PooledEngine, job: Job) {
-    let lane = engine.lane();
+/// Serves one job on lane `lane`'s engine: affinity accounting, queue and
+/// service timing, inference or push, and the completion callback. Latency
+/// bookkeeping is per job even inside a coalesced run, so a rider's record
+/// still shows its own queue wait.
+fn serve_job(
+    shared: &SchedShared,
+    lane: usize,
+    engine: &mut Engine,
+    scratch: &mut ClientState,
+    job: Job,
+) {
+    let artifact = shared.pool.artifact();
     if let Some(hint) = job.affinity {
         let counter = if hint == lane {
             &shared.affinity_hits
@@ -1025,13 +877,13 @@ fn serve_job(shared: &SchedShared, engine: &mut PooledEngine, job: Job) {
     let queue_us = job.enqueued.elapsed().as_secs_f64() * 1e6;
     let service_start = Instant::now();
     match job.kind {
-        JobKind::Infer { stream, reply } => {
-            let result = engine.infer(&stream);
+        JobKind::Infer { stream, on_done } => {
+            let result = artifact.infer(engine, scratch, &stream, true);
             let service_us = service_start.elapsed().as_secs_f64() * 1e6;
             shared
                 .recorder
                 .record(queue_us, service_us, result.is_err());
-            reply.complete(RequestRecord {
+            on_done(RequestRecord {
                 id: job.id,
                 result,
                 lane,
@@ -1042,14 +894,14 @@ fn serve_job(shared: &SchedShared, engine: &mut PooledEngine, job: Job) {
         JobKind::Push {
             mut client,
             chunk,
-            reply,
+            on_done,
         } => {
-            let result = engine.push(&mut client, &chunk);
+            let result = artifact.push(engine, &mut client, &chunk, true);
             let service_us = service_start.elapsed().as_secs_f64() * 1e6;
             shared
                 .recorder
                 .record(queue_us, service_us, result.is_err());
-            reply.complete(PushRecord {
+            on_done(PushRecord {
                 id: job.id,
                 client: *client,
                 result,
@@ -1193,12 +1045,6 @@ impl BatchRunner {
         self.pool.lanes()
     }
 
-    /// The engine pool (e.g. to share it with a server front-end).
-    #[must_use]
-    pub fn pool(&self) -> &Arc<EnginePool> {
-        &self.pool
-    }
-
     /// The dynamic scheduler (e.g. to [`Scheduler::call`] it directly from
     /// request threads).
     #[must_use]
@@ -1285,13 +1131,9 @@ impl BatchRunner {
     /// The legacy statically pinned runner, kept as the reference oracle the
     /// dynamic scheduler is proven against: stream `i` runs on lane
     /// `i % lanes`, walked in input order on the calling thread. Queue-wait
-    /// latency is zero by construction.
-    ///
-    /// The oracle fleet is built fresh from the shared artifact rather than
-    /// checked out of the pool — the scheduler's workers own the pool's
-    /// engines, and an engine is a deterministic function of the artifact,
-    /// so a fresh fleet produces identical results without deadlocking on
-    /// ownership.
+    /// latency is zero by construction. The oracle builds its own
+    /// engine-plus-scratch pairs from the shared artifact, the same pairs
+    /// the scheduler's workers build for themselves.
     ///
     /// # Errors
     ///
@@ -1300,14 +1142,8 @@ impl BatchRunner {
         let wall_start = Instant::now();
         let lanes = self.pool.lanes();
         let artifact = self.pool.artifact();
-        let mut engines: Vec<PooledEngine> = (0..lanes)
-            .map(|lane| PooledEngine {
-                lane,
-                artifact: Arc::clone(artifact),
-                engine: artifact.new_engine(ExecStrategy::Sequential),
-                scratch: artifact.new_client(),
-            })
-            .collect();
+        let mut fleet: Vec<(Engine, ClientState)> =
+            (0..lanes).map(|_| self.pool.new_instance()).collect();
 
         let mut results = Vec::with_capacity(streams.len());
         let mut service_samples = Vec::with_capacity(streams.len());
@@ -1315,7 +1151,8 @@ impl BatchRunner {
         for (i, stream) in streams.iter().enumerate() {
             let lane = i % lanes;
             let service_start = Instant::now();
-            results.push(engines[lane].infer(stream)?);
+            let (engine, scratch) = &mut fleet[lane];
+            results.push(artifact.infer(engine, scratch, stream, true)?);
             let service_us = service_start.elapsed().as_secs_f64() * 1e6;
             service_samples.push(service_us);
             lane_busy_us[lane] += service_us;
@@ -1489,38 +1326,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_checkout_and_checkin_cycle_every_lane() {
-        let pool = EnginePool::for_network(
-            compiled(),
-            SneConfig::with_slices(2),
-            3,
-            ExecStrategy::Sequential,
-        )
-        .unwrap();
-        assert_eq!(pool.lanes(), 3);
-        assert_eq!(pool.idle_lanes(), 3);
-        let a = pool.checkout();
-        let b = pool.checkout();
-        let c = pool.checkout();
-        assert_eq!(pool.idle_lanes(), 0);
-        assert!(pool.try_checkout().is_none());
-        let mut lanes = [a.lane(), b.lane(), c.lane()];
-        lanes.sort_unstable();
-        assert_eq!(lanes, [0, 1, 2]);
-        pool.checkin(a);
-        pool.checkin(b);
-        pool.checkin(c);
-        assert_eq!(pool.idle_lanes(), 3);
-        // A checked-out engine serves whole-sample requests from rest.
-        let stream = &streams(1)[0];
-        let mut engine = pool.checkout();
-        let first = engine.infer(stream).unwrap();
-        let again = engine.infer(stream).unwrap();
-        assert_eq!(first, again);
-        pool.checkin(engine);
-    }
-
-    #[test]
     fn pooled_engines_serve_parked_client_states() {
         let pool = Arc::new(
             EnginePool::for_network(
@@ -1531,6 +1336,7 @@ mod tests {
             )
             .unwrap(),
         );
+        let scheduler = Scheduler::new(Arc::clone(&pool), 2);
         let stream = &streams(1)[0];
         let mut reference = InferenceSession::new(
             Arc::clone(pool.artifact().network_arc()),
@@ -1538,20 +1344,18 @@ mod tests {
         )
         .unwrap();
 
-        // Push the chunks through *alternating* engines of the pool; the
+        // Push the chunks through *alternating* lanes of the fleet; the
         // neuron state lives in the parked ClientState, so the outcome is
         // bit-identical to one dedicated session consuming the same chunks.
         let mut client = pool.artifact().new_client();
-        for chunk in stream.chunks(4) {
-            let mut engine = pool.checkout();
-            let out = engine.push(&mut client, &chunk).unwrap();
-            assert_eq!(out, reference.push(&chunk).unwrap());
-            // Return and immediately rotate to the other engine.
-            pool.checkin(engine);
-            let rotate = pool.checkout();
-            pool.checkin(rotate);
+        for (i, chunk) in stream.chunks(4).enumerate() {
+            let record = scheduler.call_push(client, chunk.clone(), Some(i % 2));
+            assert_eq!(record.lane, i % 2, "a lone job is never stolen");
+            assert_eq!(record.result.unwrap(), reference.push(&chunk).unwrap());
+            client = record.client;
         }
         assert_eq!(pool.artifact().summary(&client), reference.summary());
+        assert_eq!(scheduler.stats().affinity_hits, 4);
     }
 
     #[test]
@@ -1592,7 +1396,6 @@ mod tests {
         assert_eq!(scheduler.stats().completed, 8);
         assert_eq!(scheduler.pending(), 0);
         scheduler.shutdown();
-        assert_eq!(pool.idle_lanes(), 3);
     }
 
     #[test]
@@ -1611,13 +1414,12 @@ mod tests {
             let _ = scheduler.submit(stream);
         }
         // Shut down FIRST: the backlog must still be finished (graceful
-        // drain), its records delivered, and the engine returned.
+        // drain) and its records delivered.
         scheduler.shutdown();
         assert_eq!(scheduler.stats().completed, 5);
         let collected = scheduler.drain();
         assert_eq!(collected.len(), 5);
         assert!(collected.iter().all(|r| r.result.is_ok()));
-        assert_eq!(pool.idle_lanes(), 1);
         // Idempotent.
         scheduler.shutdown();
     }
@@ -1748,23 +1550,16 @@ mod tests {
         assert_eq!(report.lane_utilization, vec![0.0, 0.0]);
         assert_eq!(report.utilization_spread, 0.0);
         assert_eq!(report.steals, 0);
-        // The sequential runner's single worker owns one of the two engines
-        // for the scheduler's lifetime; the other lane stays idle.
-        assert_eq!(runner.pool().idle_lanes(), 1);
-        let pool = Arc::clone(runner.pool());
-        drop(runner);
-        assert_eq!(pool.idle_lanes(), 2);
     }
 
     fn dummy_job(id: u64) -> Job {
-        let (reply, _rx) = mpsc::channel();
         Job {
             id,
             enqueued: Instant::now(),
             affinity: None,
             kind: JobKind::Infer {
                 stream: Arc::new(EventStream::new(8, 8, 2, 8)),
-                reply: InferReply::Channel(reply),
+                on_done: Box::new(drop),
             },
         }
     }

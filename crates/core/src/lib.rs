@@ -20,9 +20,10 @@
 //! 4. read the [`run::InferenceResult`]: prediction, cycle statistics,
 //!    inference time/rate and energy.
 //!
-//! [`accelerator::SneAccelerator`] remains the one-shot convenience wrapper
-//! (it routes through the same runtime and caches the compiled plans across
-//! calls).
+//! [`accelerator::SneAccelerator`] remains the one-shot convenience wrapper:
+//! it runs through an [`session::InferenceSession`] that it keeps while the
+//! network stays the same, and through a [`session::PipelinedSession`] for
+//! the pipelined mode.
 //!
 //! For the *serving* scenario the run-many layer splits further into three
 //! tiers (DESIGN.md §10): an immutable, shareable
@@ -30,9 +31,10 @@
 //! configuration) that any number of engines execute against; a cheap
 //! per-client [`artifact::ClientState`] (per-layer neuron state + streaming
 //! cursor) that parks between requests; and the fleet machinery in
-//! [`batch`] — an [`batch::EnginePool`] of warm engines checked out per
-//! request and a work-queue [`batch::Scheduler`] with per-request
-//! queue/service latency accounting. [`batch::BatchRunner`] is the
+//! [`batch`] — an [`batch::EnginePool`] naming the artifact and its lane
+//! count, and a work-stealing [`batch::Scheduler`] whose worker `i` owns
+//! lane `i`'s engine, with per-request queue/service latency accounting.
+//! [`batch::BatchRunner`] is the
 //! closed-batch convenience on top (its legacy statically pinned walk
 //! survives as [`batch::BatchRunner::run_round_robin`], the oracle the
 //! dynamic scheduler is proven bit-identical against), and the `sne_serve`
@@ -86,9 +88,7 @@ mod error;
 
 pub use accelerator::SneAccelerator;
 pub use artifact::{ClientState, RuntimeArtifact};
-pub use batch::{
-    BatchReport, BatchRunner, EnginePool, LatencySummary, PooledEngine, RequestRecord, Scheduler,
-};
+pub use batch::{BatchReport, BatchRunner, EnginePool, LatencySummary, RequestRecord, Scheduler};
 pub use compile::{CompiledNetwork, Stage};
 pub use error::SneError;
 pub use run::{InferenceResult, LayerExecution};

@@ -137,23 +137,19 @@ fn layer_execution(
     }
 }
 
-/// Dispatches one layer run to the engine, picking the planned or the naive
-/// datapath and the stateful or stateless entry point.
+/// Dispatches one layer run to the engine, on the planned or the naive
+/// datapath.
 fn run_one_layer(
     engine: &mut Engine,
     mapping: &LayerMapping,
     plan: Option<&LayerPlan>,
     stream: &EventStream,
-    state: Option<&mut LayerState>,
+    state: &mut LayerState,
     resume: bool,
 ) -> Result<LayerRunOutput, SimError> {
-    match (plan, state) {
-        (Some(plan), Some(state)) => {
-            engine.run_layer_stateful_planned(mapping, plan, stream, state, resume)
-        }
-        (Some(plan), None) => engine.run_layer_planned(mapping, plan, stream),
-        (None, Some(state)) => engine.run_layer_stateful(mapping, stream, state, resume),
-        (None, None) => engine.run_layer(mapping, stream),
+    match plan {
+        Some(plan) => engine.run_layer_stateful_planned(mapping, plan, stream, state, resume),
+        None => engine.run_layer_stateful(mapping, stream, state, resume),
     }
 }
 
@@ -164,15 +160,15 @@ fn run_one_layer(
 /// on it) or one engine per accelerated layer (pipelined mode). When `plans`
 /// is provided (one [`LayerPlan`] per accelerated layer) the layers run on
 /// the compiled sparse datapath — bit-identical to the naive mapping walk,
-/// only faster on the host. When `states` is provided (one [`LayerState`] per
-/// accelerated layer) the layers run stateful: with `resume` they continue
-/// from the saved neuron state instead of starting from rest.
+/// only faster on the host. `states` holds one [`LayerState`] per accelerated
+/// layer: with `resume` the layers continue from the saved neuron state,
+/// without it they start from rest.
 pub(crate) fn run_stages(
     engines: &mut [Engine],
     network: &CompiledNetwork,
     input: &EventStream,
     plans: Option<&[LayerPlan]>,
-    mut states: Option<&mut [LayerState]>,
+    states: &mut [LayerState],
     resume: bool,
 ) -> Result<StageOutcome, SneError> {
     let mut stream = input.clone();
@@ -201,7 +197,7 @@ pub(crate) fn run_stages(
                     mapping,
                     plans.map(|p| &p[layer_index]),
                     &stream,
-                    states.as_deref_mut().map(|s| &mut s[layer_index]),
+                    &mut states[layer_index],
                     resume,
                 )?;
                 total += run.stats;
@@ -231,7 +227,7 @@ pub(crate) fn run_stages(
 /// per-timestep schedules overlap in a pipeline: layer `l` can process
 /// timestep `t` only after it finished timestep `t - 1` *and* layer `l - 1`
 /// delivered timestep `t` through the C-XBAR.
-pub(crate) fn wavefront_makespan(profiles: &[Vec<u64>]) -> u64 {
+fn wavefront_makespan(profiles: &[Vec<u64>]) -> u64 {
     let mut prev_finish: Vec<u64> = Vec::new();
     for profile in profiles {
         let mut finish = Vec::with_capacity(profile.len());
@@ -298,43 +294,13 @@ impl InferenceSession {
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
     ) -> Result<Self, SneError> {
-        let network = network.into();
-        let plans = Arc::new(network.build_plans());
-        Self::with_shared_plans(network, config, plans)
-    }
-
-    /// Builds a session that reuses an already-compiled set of layer plans —
-    /// the constructor [`crate::batch::BatchRunner`] uses so N lanes share
-    /// one read-only table set instead of compiling N copies. The plans must
-    /// have been built from this `network` (one per accelerated layer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SneError::Sim`] if `plans` does not match the network's
-    /// accelerated layers, plus the same errors as
-    /// [`InferenceSession::new`].
-    pub fn with_shared_plans(
-        network: impl Into<Arc<CompiledNetwork>>,
-        config: SneConfig,
-        plans: Arc<Vec<LayerPlan>>,
-    ) -> Result<Self, SneError> {
-        let artifact = RuntimeArtifact::with_shared_plans(network, config, plans)?;
-        Ok(Self::from_artifact(Arc::new(artifact)))
-    }
-
-    /// Builds a session around an already-compiled (and validated)
-    /// [`RuntimeArtifact`]: allocates one engine and one client state.
-    /// Infallible — the artifact carries a validated configuration.
-    #[must_use]
-    pub fn from_artifact(artifact: Arc<RuntimeArtifact>) -> Self {
-        let engine = artifact.new_engine(ExecStrategy::Sequential);
-        let client = artifact.new_client();
-        Self {
+        let artifact = Arc::new(RuntimeArtifact::new(network, config)?);
+        Ok(Self {
+            engine: artifact.new_engine(ExecStrategy::Sequential),
+            client: artifact.new_client(),
             artifact,
-            engine,
-            client,
             plan_enabled: true,
-        }
+        })
     }
 
     /// The shared runtime artifact the session executes against.
@@ -412,9 +378,9 @@ impl InferenceSession {
     }
 
     /// Runs one whole-sample inference: the neuron state is reset, the full
-    /// stream is consumed and the result is returned — functionally and
-    /// cycle-for-cycle identical to [`crate::SneAccelerator::run`], but
-    /// without any per-call compilation or allocation.
+    /// stream is consumed and the result is returned, without any per-call
+    /// compilation or allocation ([`crate::SneAccelerator::run`] runs
+    /// through this method).
     ///
     /// # Errors
     ///
@@ -461,10 +427,7 @@ impl InferenceSession {
 ///
 /// Returns [`SneError::PipelineDoesNotFit`] if there are fewer slices than
 /// layers or a layer exceeds its allocation in a single pass.
-pub(crate) fn pipeline_shares(
-    network: &CompiledNetwork,
-    config: &SneConfig,
-) -> Result<Vec<usize>, SneError> {
+fn pipeline_shares(network: &CompiledNetwork, config: &SneConfig) -> Result<Vec<usize>, SneError> {
     let accelerated = network.accelerated_layers();
     if accelerated == 0 {
         return Err(SneError::EmptyNetwork);
@@ -502,21 +465,6 @@ pub(crate) fn pipeline_shares(
     Ok(shares)
 }
 
-/// Builds the per-layer engines of the pipelined mode: one engine per
-/// accelerated layer (shares are in stage order), configured with that
-/// layer's slice share.
-pub(crate) fn pipeline_engines(config: &SneConfig, shares: &[usize]) -> Vec<Engine> {
-    shares
-        .iter()
-        .map(|&slices| {
-            Engine::new(SneConfig {
-                num_slices: slices,
-                ..*config
-            })
-        })
-        .collect()
-}
-
 /// A long-lived session for the pipelined layer-per-slice mapping mode of
 /// paper §III-D.5: the slices are partitioned among the layers once, each
 /// layer keeps its own engine, and output events flow to the next layer
@@ -544,8 +492,17 @@ impl PipelinedSession {
         config: SneConfig,
     ) -> Result<Self, SneError> {
         let artifact = Arc::new(RuntimeArtifact::new(network, config)?);
-        let shares = pipeline_shares(artifact.network(), artifact.config())?;
-        let engines = pipeline_engines(artifact.config(), &shares);
+        // One engine per accelerated layer (shares are in stage order),
+        // configured with that layer's slice share.
+        let engines: Vec<Engine> = pipeline_shares(artifact.network(), artifact.config())?
+            .into_iter()
+            .map(|num_slices| {
+                Engine::new(SneConfig {
+                    num_slices,
+                    ..*artifact.config()
+                })
+            })
+            .collect();
         let states = artifact
             .network()
             .stages()
@@ -589,7 +546,7 @@ impl PipelinedSession {
             self.artifact.network(),
             input,
             Some(self.artifact.plans().as_slice()),
-            Some(&mut self.states),
+            &mut self.states,
             false,
         )?;
 
@@ -633,13 +590,38 @@ mod tests {
 
     #[test]
     fn session_infer_matches_the_one_shot_accelerator_exactly() {
+        // The one-shot reference is the stateless layer walk: every layer
+        // starts from rest on the naive datapath, with no state buffers and
+        // no plans — what a single accelerator run means on the chip.
         let network = compiled();
         let stream = input_stream(3);
-        let mut accelerator = SneAccelerator::new(SneConfig::with_slices(2));
-        let reference = accelerator.run(&network, &stream).unwrap();
-        let mut session = InferenceSession::new(network, SneConfig::with_slices(2)).unwrap();
+        let config = SneConfig::with_slices(2);
+        let mut engine = Engine::new(config);
+        let mut output = stream.clone();
+        let mut total = CycleStats::new();
+        for stage in network.stages() {
+            match stage {
+                Stage::Pool { window, .. } => output = output.downscale(*window),
+                Stage::Accelerated { mapping, .. } => {
+                    let run = engine.run_layer(mapping, &output).unwrap();
+                    total += run.stats;
+                    output = run.output;
+                }
+            }
+        }
+        let (predicted_class, counts) = classify(&output, 3);
+
+        let mut session = InferenceSession::new(network, config).unwrap();
         let result = session.infer(&stream).unwrap();
-        assert_eq!(reference, result);
+        assert_eq!(result.stats, total);
+        assert_eq!(result.output_spike_counts, counts);
+        assert_eq!(result.predicted_class, predicted_class);
+        assert_eq!(
+            SneAccelerator::new(config)
+                .run(session.network(), &stream)
+                .unwrap(),
+            result
+        );
     }
 
     #[test]
@@ -685,23 +667,28 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let other =
             CompiledNetwork::random(&Topology::tiny(Shape::new(2, 8, 8), 4, 3), &mut rng).unwrap();
-        let foreign = Arc::new(other.build_plans());
-        assert!(matches!(
-            InferenceSession::with_shared_plans(
-                network.clone(),
-                SneConfig::with_slices(2),
-                foreign,
-            ),
-            Err(SneError::Sim(_))
-        ));
-        let own = Arc::new(network.build_plans());
-        let mut session = InferenceSession::with_shared_plans(
-            network,
-            SneConfig::with_slices(2),
-            Arc::clone(&own),
-        )
-        .unwrap();
-        assert!(Arc::ptr_eq(session.plans(), &own));
+        let mut session =
+            InferenceSession::new(network.clone(), SneConfig::with_slices(2)).unwrap();
+        // The session compiles its plans from its own network, so they
+        // match every accelerated layer of it and none of another network's.
+        let mappings = |n: &CompiledNetwork| -> Vec<LayerMapping> {
+            n.stages()
+                .iter()
+                .filter_map(Stage::mapping)
+                .cloned()
+                .collect()
+        };
+        let plans = session.plans();
+        assert_eq!(plans.len(), network.accelerated_layers());
+        assert!(plans
+            .iter()
+            .zip(mappings(&network))
+            .all(|(p, m)| p.matches(&m)));
+        assert!(!plans
+            .iter()
+            .zip(mappings(&other))
+            .any(|(p, m)| p.matches(&m)));
+        assert!(Arc::ptr_eq(session.plans(), session.artifact().plans()));
         assert!(session.infer(&input_stream(3)).is_ok());
     }
 
@@ -800,15 +787,29 @@ mod tests {
     fn pipelined_session_matches_the_accelerator_entry_point() {
         let network = compiled();
         let stream = input_stream(17);
-        let mut accelerator = SneAccelerator::new(SneConfig::with_slices(8));
-        let reference = accelerator.run_pipelined(&network, &stream).unwrap();
-        let mut session = PipelinedSession::new(network, SneConfig::with_slices(8)).unwrap();
+        let mut session =
+            PipelinedSession::new(network.clone(), SneConfig::with_slices(8)).unwrap();
         assert_eq!(session.slice_shares(), vec![4, 4]);
         let result = session.infer(&stream).unwrap();
-        assert_eq!(reference, result);
-        // Sessions are reusable: a second inference gives the same answer.
+        // The accelerator's pipelined entry point builds a fresh session per
+        // call; a reused session gives the same answer.
+        let mut accelerator = SneAccelerator::new(SneConfig::with_slices(8));
+        assert_eq!(
+            accelerator.run_pipelined(&network, &stream).unwrap(),
+            result
+        );
         assert_eq!(session.infer(&stream).unwrap(), result);
         assert_eq!(session.network().accelerated_layers(), 2);
+        // Functionally it is the time-multiplexed session; only the modelled
+        // duration (the wavefront makespan) is shorter than the serial sum.
+        let serial = InferenceSession::new(network, SneConfig::with_slices(8))
+            .unwrap()
+            .infer(&stream)
+            .unwrap();
+        assert_eq!(result.output_spike_counts, serial.output_spike_counts);
+        assert_eq!(result.predicted_class, serial.predicted_class);
+        let layer_sum: u64 = result.layers.iter().map(|l| l.stats.total_cycles).sum();
+        assert!(result.stats.total_cycles <= layer_sum);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Network {
         }
     }
 
-    /// Appends a layer, checking that its input shape matches the current
+    /// Appends a layer, verifying that its input shape matches the current
     /// output shape of the network.
     ///
     /// # Errors

@@ -7,14 +7,11 @@
 //! complete. Keep-alive is the default for HTTP/1.1 (`Connection: close`
 //! honored, HTTP/1.0 defaults to close); chunked transfer encoding is not
 //! supported. Every bound ([`MAX_BODY_BYTES`], [`MAX_HEADER_BYTES`],
-//! [`MAX_HEADERS`]) is enforced *during* accumulation, so a hostile client
-//! cannot grow buffers past them no matter how it fragments its bytes.
-//!
-//! [`read_request`]/[`write_response`] remain as blocking conveniences for
-//! tests and simple clients; the server itself never blocks on a socket.
+//! [`MAX_HEADERS`]) is checked at a fixed byte position of the stream, so
+//! a request is accepted or rejected the same way however its bytes are
+//! split across reads, and [`RequestParser::is_full`] tells the reader when
+//! to stop reading so no burst grows the buffer far past a bound.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// Upper bound on an accepted request body (16 MiB — far above any event
@@ -36,9 +33,6 @@ pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// requests before it is closed (configurable per server).
 pub const KEEPALIVE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// How long a blocked response write may stall in the blocking helpers.
-pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -56,32 +50,6 @@ pub struct Request {
     /// The client's `X-Request-Id` header, if it sent one (echoed on the
     /// response; the server generates one otherwise).
     pub request_id: Option<String>,
-}
-
-/// Why a request could not be parsed.
-#[derive(Debug)]
-pub enum HttpError {
-    /// Socket-level failure (including read timeout).
-    Io(std::io::Error),
-    /// The bytes did not form a valid request.
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for HttpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
-            Self::Malformed(m) => write!(f, "malformed request: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for HttpError {}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
 }
 
 /// The parsed request line + headers, held while the body accumulates.
@@ -134,6 +102,22 @@ impl RequestParser {
         self.buf.len()
     }
 
+    /// Whether the buffer already holds every byte the pending request can
+    /// use: more than [`MAX_HEADER_BYTES`] while no head is parsed, or more
+    /// than the head plus its `Content-Length` once one is. A reader stops
+    /// reading here and calls [`RequestParser::try_take`], which then
+    /// completes the request, rejects an oversized head, or leaves
+    /// pipelined bytes buffered — so one burst cannot grow the buffer past a
+    /// bound before the parser sees it.
+    #[must_use]
+    pub fn is_full(&self) -> bool {
+        let limit = match &self.head {
+            Some(head) => head.body_start + head.content_length,
+            None => MAX_HEADER_BYTES as usize,
+        };
+        self.buf.len() > limit
+    }
+
     /// Whether the parser holds any bytes of a not-yet-complete request —
     /// the state in which a read deadline applies (a connection with an
     /// empty parser is merely idle between keep-alive requests).
@@ -176,9 +160,14 @@ impl RequestParser {
     }
 
     /// Scans newly fed bytes for header-section lines; parses the head once
-    /// the blank separator line arrives.
+    /// the blank separator line arrives. The head may be at most
+    /// [`MAX_HEADER_BYTES`] long, blank line included: the bound is checked
+    /// per scanned byte, so it does not depend on how the bytes were fed.
     fn scan_head(&mut self) -> Result<(), &'static str> {
         while self.scanned < self.buf.len() {
+            if self.scanned as u64 >= MAX_HEADER_BYTES {
+                return Err("request header section too large");
+            }
             if self.buf[self.scanned] != b'\n' {
                 self.scanned += 1;
                 continue;
@@ -204,9 +193,6 @@ impl RequestParser {
             if self.lines.len() > MAX_HEADERS {
                 return Err("too many headers");
             }
-        }
-        if self.buf.len() as u64 > MAX_HEADER_BYTES {
-            return Err("request header section too large");
         }
         Ok(())
     }
@@ -279,31 +265,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Formats one `application/json` response with the given connection
-/// disposition, optional `X-Request-Id` echo and extra headers.
-#[must_use]
-pub fn format_response(
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    request_id: Option<&str>,
-    extra_headers: &[(&str, &str)],
-) -> String {
-    let mut out = Vec::with_capacity(128 + body.len());
-    append_response(
-        &mut out,
-        status,
-        body,
-        keep_alive,
-        request_id,
-        extra_headers,
-    );
-    String::from_utf8(out).expect("response bytes are UTF-8")
-}
-
-/// [`format_response`], appended straight onto an output buffer — the
-/// reactor's completion path renders into the connection's write buffer
-/// without an intermediate per-response `String`.
+/// Renders one `application/json` response with the given connection
+/// disposition, optional `X-Request-Id` echo and extra headers, appended
+/// straight onto an output buffer — the reactor renders into the
+/// connection's write buffer without an intermediate per-response `String`.
 pub fn append_response(
     out: &mut Vec<u8>,
     status: u16,
@@ -336,78 +301,42 @@ pub fn append_response(
     out.extend_from_slice(body.as_bytes());
 }
 
-/// Blocking convenience: reads one complete request from `stream` (with
-/// [`READ_TIMEOUT`]) through a [`RequestParser`].
-///
-/// # Errors
-///
-/// Returns [`HttpError::Io`] on socket failures or timeout and
-/// [`HttpError::Malformed`] when the bytes are not a valid request (e.g. a
-/// body larger than [`MAX_BODY_BYTES`]).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let mut parser = RequestParser::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(request) = parser.try_take().map_err(HttpError::Malformed)? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(HttpError::Malformed(if parser.mid_request() {
-                "truncated request"
-            } else {
-                "empty request"
-            }));
-        }
-        parser.feed(&chunk[..n]);
-    }
-}
-
-/// Blocking convenience: writes one `Connection: close` JSON response and
-/// flushes it (with [`WRITE_TIMEOUT`]).
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    stream.write_all(format_response(status, body, false, None, &[]).as_bytes())?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    fn round_trip(raw: &str) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_owned();
-        let writer = std::thread::spawn(move || {
-            let client = TcpStream::connect(addr).unwrap();
-            let mut client = client;
-            client.write_all(raw.as_bytes()).unwrap();
-            client.flush().unwrap();
-            // Signal EOF so a parser waiting for more bytes returns instead
-            // of riding out the read timeout; keep the socket itself open
-            // until the parser is done with it.
-            client.shutdown(std::net::Shutdown::Write).unwrap();
-            client
-        });
-        let (mut server_side, _) = listener.accept().unwrap();
-        let request = read_request(&mut server_side);
-        let _ = writer.join().unwrap();
-        request
+    /// Feeds `raw` in one piece and takes the request; an incomplete
+    /// request is an error too.
+    fn parse(raw: &str) -> Result<Request, &'static str> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        parser.try_take()?.ok_or("incomplete request")
+    }
+
+    fn render(
+        status: u16,
+        body: &str,
+        keep_alive: bool,
+        request_id: Option<&str>,
+        extra_headers: &[(&str, &str)],
+    ) -> String {
+        let mut out = Vec::new();
+        append_response(
+            &mut out,
+            status,
+            body,
+            keep_alive,
+            request_id,
+            extra_headers,
+        );
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
     fn parses_a_post_with_body() {
-        let request = round_trip(
-            "POST /v1/infer HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\n{\"a\": 1}\n",
-        )
-        .unwrap();
+        let request =
+            parse("POST /v1/infer HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\n{\"a\": 1}\n")
+                .unwrap();
         assert_eq!(request.method, "POST");
         assert_eq!(request.path, "/v1/infer");
         assert_eq!(request.body, "{\"a\": 1}\n");
@@ -417,7 +346,7 @@ mod tests {
 
     #[test]
     fn parses_a_bodyless_get() {
-        let request = round_trip("GET /v1/stats HTTP/1.1\r\n\r\n").unwrap();
+        let request = parse("GET /v1/stats HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(request.method, "GET");
         assert_eq!(request.path, "/v1/stats");
         assert!(request.body.is_empty());
@@ -425,41 +354,39 @@ mod tests {
 
     #[test]
     fn connection_and_request_id_headers_are_decoded() {
-        let request = round_trip(
+        let request = parse(
             "POST / HTTP/1.1\r\nConnection: close\r\nX-Request-Id: abc-123\r\nContent-Length: 0\r\n\r\n",
         )
         .unwrap();
         assert!(!request.keep_alive);
         assert_eq!(request.request_id.as_deref(), Some("abc-123"));
-        let old = round_trip("GET / HTTP/1.0\r\n\r\n").unwrap();
+        let old = parse("GET / HTTP/1.0\r\n\r\n").unwrap();
         assert!(!old.keep_alive, "HTTP/1.0 defaults to close");
-        let old_ka = round_trip("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        let old_ka = parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
         assert!(old_ka.keep_alive);
     }
 
     #[test]
     fn rejects_malformed_requests() {
-        assert!(matches!(
-            round_trip("NOT-HTTP\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
-            round_trip("POST / HTTP/2\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
-            round_trip("POST / HTTP/1.1\r\nContent-Length: zzz\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
-            round_trip(&format!(
+        assert_eq!(parse("NOT-HTTP\r\n\r\n").unwrap_err(), "missing path");
+        assert_eq!(
+            parse("POST / HTTP/2\r\n\r\n").unwrap_err(),
+            "unsupported HTTP version"
+        );
+        assert_eq!(
+            parse("POST / HTTP/1.1\r\nContent-Length: zzz\r\n\r\n").unwrap_err(),
+            "bad content-length"
+        );
+        assert_eq!(
+            parse(&format!(
                 "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
                 MAX_BODY_BYTES + 1
-            )),
-            Err(HttpError::Malformed(_))
-        ));
-        let err = round_trip("").unwrap_err();
-        assert!(!err.to_string().is_empty());
+            ))
+            .unwrap_err(),
+            "body too large"
+        );
+        assert_eq!(parse("\r\n").unwrap_err(), "empty request");
+        assert_eq!(parse("").unwrap_err(), "incomplete request");
     }
 
     #[test]
@@ -517,31 +444,64 @@ mod tests {
     }
 
     #[test]
+    fn one_feed_of_an_oversized_head_is_rejected() {
+        // A complete head whose one header line is 1 MiB: the blank line is
+        // there, but the head is far past the bound. One feed and 16 KiB
+        // pieces must both be rejected, with the same error.
+        let raw = format!(
+            "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(1 << 20)
+        );
+        let mut whole = RequestParser::new();
+        whole.feed(raw.as_bytes());
+        assert!(whole.is_full());
+        let expected = Err("request header section too large");
+        assert_eq!(whole.try_take(), expected);
+        let mut pieces = RequestParser::new();
+        let mut outcome = Ok(None);
+        for piece in raw.as_bytes().chunks(16 * 1024) {
+            pieces.feed(piece);
+            outcome = pieces.try_take();
+            if outcome.is_err() {
+                break;
+            }
+        }
+        assert_eq!(outcome, expected);
+    }
+
+    #[test]
+    fn reader_stops_once_the_pending_request_is_covered() {
+        let mut parser = RequestParser::new();
+        parser.feed(&vec![b'a'; MAX_HEADER_BYTES as usize]);
+        assert!(!parser.is_full());
+        parser.feed(b"a");
+        assert!(parser.is_full());
+        // Once the head is parsed, the bound is the head plus its body.
+        let mut parser = RequestParser::new();
+        parser.feed(b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nab");
+        assert_eq!(parser.try_take(), Ok(None));
+        assert!(!parser.is_full());
+        parser.feed(b"cd");
+        assert!(!parser.is_full(), "exactly the request: keep reading");
+        parser.feed(b"G");
+        assert!(parser.is_full(), "pipelined bytes: stop and answer 400");
+    }
+
+    #[test]
     fn response_writer_emits_valid_http() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let mut client = TcpStream::connect(addr).unwrap();
-            let mut raw = String::new();
-            client.read_to_string(&mut raw).unwrap();
-            raw
-        });
-        let (mut server_side, _) = listener.accept().unwrap();
-        write_response(&mut server_side, 404, "{\"error\":\"nope\"}").unwrap();
-        drop(server_side);
-        let raw = reader.join().unwrap();
+        let raw = render(404, "{\"error\":\"nope\"}", false, None, &[]);
         assert!(raw.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(raw.contains("Content-Length: 16\r\n"));
         assert!(raw.ends_with("{\"error\":\"nope\"}"));
     }
 
     #[test]
-    fn format_response_headers() {
-        let keep = format_response(200, "{}", true, Some("id-1"), &[("Retry-After", "1")]);
+    fn append_response_headers() {
+        let keep = render(200, "{}", true, Some("id-1"), &[("Retry-After", "1")]);
         assert!(keep.contains("Connection: keep-alive\r\n"));
         assert!(keep.contains("X-Request-Id: id-1\r\n"));
         assert!(keep.contains("Retry-After: 1\r\n"));
-        let close = format_response(429, "{}", false, None, &[]);
+        let close = render(429, "{}", false, None, &[]);
         assert!(close.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(close.contains("Connection: close\r\n"));
     }

@@ -6,8 +6,9 @@
 //!
 //! 1. [`sne::artifact::RuntimeArtifact`] — one immutable compiled artifact
 //!    per model, shared by every engine and client;
-//! 2. [`sne::batch::EnginePool`] — a fleet of warm engines per model,
-//!    checked out per request;
+//! 2. [`sne::batch::EnginePool`] and [`sne::batch::Scheduler`] — a fleet
+//!    of warm engines per model, one per scheduler worker, fed from
+//!    per-worker run queues;
 //! 3. this crate — a std-only HTTP/1.1 server (nonblocking sockets driven
 //!    by a hand-rolled [`reactor`] — epoll on Linux, `poll(2)` elsewhere — a
 //!    hand-rolled [`json`] codec, no new dependencies) exposing one-shot

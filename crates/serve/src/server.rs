@@ -109,7 +109,7 @@ use sne_event::{Event, EventStream};
 use sne_sim::{ExecStrategy, SneConfig};
 use sne_store::{FsyncPolicy, SessionStore};
 
-use crate::http::{append_response, format_response, Request, RequestParser};
+use crate::http::{append_response, Request, RequestParser};
 use crate::json::Json;
 use crate::reactor::{Interest, PollEvent, Poller, TimerEntry, TimerWheel, WakePipe, Waker};
 pub use crate::sessions::DurabilityStats;
@@ -491,7 +491,7 @@ impl ServerBuilder {
     ///
     /// Propagates artifact/pool construction errors.
     pub fn register(
-        self,
+        mut self,
         name: &str,
         network: impl Into<Arc<CompiledNetwork>>,
         config: SneConfig,
@@ -504,18 +504,9 @@ impl ServerBuilder {
             lanes,
             ExecStrategy::Sequential,
         )?);
-        Ok(self.register_pool(name, pool))
-    }
-
-    /// Registers an already-built engine pool as `name`. The pool's
-    /// engines must not be checked out elsewhere when
-    /// [`ServerBuilder::start`] runs: the model's scheduler workers check
-    /// every engine out for the server's lifetime.
-    #[must_use]
-    pub fn register_pool(mut self, name: &str, pool: Arc<EnginePool>) -> Self {
         self.models.retain(|(n, _)| n != name);
         self.models.push((name.to_owned(), pool));
-        self
+        Ok(self)
     }
 
     /// Bound on how long a connection may take to deliver one complete
@@ -639,9 +630,7 @@ impl ServerBuilder {
             .models
             .into_iter()
             .map(|(name, pool)| {
-                // One worker per engine: the whole fleet serves. The
-                // pool's engines must be free here (the scheduler's
-                // workers check them out for the server's lifetime).
+                // One worker per lane: the whole fleet serves.
                 let scheduler = Scheduler::new(Arc::clone(&pool), pool.lanes());
                 (
                     name,
@@ -998,9 +987,10 @@ impl Reactor {
             // either lands in the empty send buffer or is dropped.
             let _ = stream.set_nonblocking(true);
             let body = error_body("server at connection capacity");
-            let response = format_response(503, &body, false, None, &[]);
+            let mut response = Vec::new();
+            append_response(&mut response, 503, &body, false, None, &[]);
             let mut stream = stream;
-            let _ = stream.write(response.as_bytes());
+            let _ = stream.write(&response);
             return;
         }
         let shards = &self.shared.shards;
@@ -1161,8 +1151,9 @@ impl Reactor {
                 .evictions
                 .fetch_add(1, Ordering::Relaxed);
             let body = error_body("request read deadline exceeded");
-            let response = format_response(408, &body, false, None, &[]);
-            let _ = conn.stream.write(response.as_bytes());
+            let mut response = Vec::new();
+            append_response(&mut response, 408, &body, false, None, &[]);
+            let _ = conn.stream.write(&response);
         }
         // Idle keep-alive expiry (or fresh-and-silent): close quietly.
         self.close_conn(entry.token);
@@ -1206,6 +1197,12 @@ impl Reactor {
                         return;
                     }
                     conn.parser.feed(&self.scratch[..n]);
+                    if conn.parser.is_full() {
+                        // Enough bytes to complete or reject the request:
+                        // parse before reading more (the socket stays
+                        // readable, so nothing is lost).
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

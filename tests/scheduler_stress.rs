@@ -107,8 +107,10 @@ fn seeded_call_storm_matches_dedicated_sessions() {
         let stats = scheduler.stats();
         assert_eq!(stats.completed, completed as u64, "seed {seed}");
         assert_eq!(stats.errors, 0);
+        // Every worker exited and dropped its engine with its share of
+        // the pool.
         drop(scheduler);
-        assert_eq!(pool.idle_lanes(), lanes, "engines leaked, seed {seed}");
+        assert_eq!(Arc::strong_count(&pool), 1, "workers leaked, seed {seed}");
     }
 }
 
@@ -226,8 +228,9 @@ fn shutdown_mid_steal_loses_nothing() {
                 &session.infer(stream).unwrap()
             );
         }
-        // Idempotent close; every engine returned.
+        // Idempotent close; every worker gone.
         scheduler.shutdown();
-        assert_eq!(pool.idle_lanes(), lanes, "engines leaked, seed {seed}");
+        drop(scheduler);
+        assert_eq!(Arc::strong_count(&pool), 1, "workers leaked, seed {seed}");
     }
 }
